@@ -17,6 +17,7 @@ import (
 	"repro/internal/dftapprox"
 	"repro/internal/engine"
 	"repro/internal/poly"
+	"repro/internal/serve"
 )
 
 // --- Table 1: the five baseline semantics on one dataset. ---
@@ -597,7 +598,8 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 	v := prf.Prepare(benchwork.Dataset(10000))
 	client := &http.Client{}
 	body := benchwork.ServeRankBody("bench", 0.95, 10)
-	uncached := benchwork.StartServeFixture(map[string]*engine.Engine{"bench": benchwork.NewEngine(v)}, -1)
+	uncached := benchwork.StartServeFixtureOpts(map[string]*engine.Engine{"bench": benchwork.NewEngine(v)},
+		serve.Options{CacheCapacity: -1, ByteCacheCapacity: -1})
 	defer uncached.Close()
 	cached := benchwork.StartServeFixture(map[string]*engine.Engine{"bench": benchwork.NewEngine(v)}, 0)
 	defer cached.Close()

@@ -10,6 +10,7 @@
 //	bench -diff OLD.json NEW.json     # regression gate (scripts/benchdiff.sh)
 //	bench -load-conc 32 -load-dur 2s  # size the load-generator arm
 //	bench -sharded-n 100000           # size the multi-core trajectory arms
+//	bench -out NEW.json -baseline OLD.json  # also record before/after pairs
 //
 // The workload bodies are shared with the root bench_test.go suite via
 // internal/benchwork, so the JSON records exactly what `go test -bench`
@@ -149,6 +150,50 @@ type Report struct {
 	// cold-open acceptance size), separate from the full-size section.
 	Store *Section `json:"store,omitempty"`
 	Smoke *Section `json:"smoke,omitempty"`
+	// Baseline pairs every full-size and store arm with the same arm of an
+	// earlier report (-baseline) measured on the same host — the
+	// before/after record of a performance change.
+	Baseline *Baseline `json:"baseline,omitempty"`
+}
+
+// Baseline is the before/after block of a report run with -baseline.
+type Baseline struct {
+	From string        `json:"from"`
+	Arms []BeforeAfter `json:"arms"`
+}
+
+// BeforeAfter is one arm measured in the baseline report and in this one.
+// Section is "full" (the suite at -n) or "store" (the -store-n arms).
+type BeforeAfter struct {
+	Name     string  `json:"name"`
+	Section  string  `json:"section"`
+	BeforeMs float64 `json:"before_ms_per_op"`
+	AfterMs  float64 `json:"after_ms_per_op"`
+	Speedup  float64 `json:"speedup"`
+}
+
+// pairArms builds the before/after block: every arm present in both the
+// baseline's and this report's full-size and store sections, in this
+// report's order.
+func pairArms(from string, old, cur Report) *Baseline {
+	b := &Baseline{From: from}
+	pair := func(section string, olds, curs []Result) {
+		before := map[string]float64{}
+		for _, r := range olds {
+			before[r.Name] = r.MsPerOp
+		}
+		for _, r := range curs {
+			if ms, ok := before[r.Name]; ok && ms > 0 && r.MsPerOp > 0 {
+				b.Arms = append(b.Arms, BeforeAfter{Name: r.Name, Section: section,
+					BeforeMs: ms, AfterMs: r.MsPerOp, Speedup: ms / r.MsPerOp})
+			}
+		}
+	}
+	pair("full", old.Results, cur.Results)
+	if old.Store != nil && cur.Store != nil {
+		pair("store", old.Store.Results, cur.Store.Results)
+	}
+	return b
 }
 
 // LoadReport is the load-generator block of the report: the hot dashboard
@@ -398,9 +443,11 @@ func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 	// no-latch fixture disables the whole byte layer (cache AND latch), not
 	// just the latch: a byte cache without a latch still absorbs most of a
 	// storm on a small machine by racy fill (whoever encodes first wins),
-	// which would measure the race, not the layer. The engine-level flight
-	// stays on in both, so the ratio isolates the wire layer: one
-	// encode+compress per round versus one per caller.
+	// which would measure the race, not the layer. Each fixture still
+	// evaluates once per round — the latch fixture through the wire-layer
+	// flight, the no-latch one through the engine-level cache and flight a
+	// dataset gets when its byte cache is off — so the ratio isolates the
+	// wire layer: one encode+compress per round versus one per caller.
 	stormConc, stormRounds := 32, 4
 	if meas == nil || n <= 1000 {
 		stormConc, stormRounds = 8, 2
@@ -663,6 +710,7 @@ func main() {
 		loadAddr  = flag.String("load-addr", "", "load arm: external server base URL (default: in-process fixture)")
 		shardedN  = flag.Int("sharded-n", 100000, "multi-core trajectory: dataset size for the sharded kernel arms (0 disables)")
 		storeN    = flag.Int("store-n", 100000, "persistent-store trajectory: dataset size for the cold-open arms (0 disables)")
+		baseline  = flag.String("baseline", "", "full run: an earlier report measured on this host (e.g. of the parent commit); every shared full-size and store arm is recorded as a before/after pair")
 	)
 	flag.Parse()
 
@@ -702,6 +750,14 @@ func main() {
 
 	if *out == "" {
 		*out = "BENCH_8.json"
+	}
+	var old Report
+	if *baseline != "" {
+		var err error
+		if old, err = loadReport(*baseline); err != nil {
+			fmt.Fprintln(os.Stderr, "bench:", err)
+			os.Exit(1)
+		}
 	}
 	sec := runSuite(*n, *grid, *terms, *chainN, fullMeasure)
 	report := newReport(sec)
@@ -746,6 +802,13 @@ func main() {
 	// extraction above, which only reads the full-size sections), so a CI
 	// smoke run always finds a same-size like-parallelism baseline.
 	report.Multicore = append(report.Multicore, runMulticore(smokeN, smokeHs, quickMeasure)...)
+	if *baseline != "" {
+		report.Baseline = pairArms(*baseline, old, report)
+		fmt.Printf("\nbefore/after against %s:\n", *baseline)
+		for _, a := range report.Baseline.Arms {
+			fmt.Printf("%-6s %-44s %12.3f → %12.3f ms/op  (%.2fx)\n", a.Section, a.Name, a.BeforeMs, a.AfterMs, a.Speedup)
+		}
+	}
 	writeReport(report, *out)
 }
 

@@ -2,8 +2,9 @@
 // production front end of the unified Ranker engine. It loads one or more
 // named datasets into prepared views at startup — paying each model's
 // sort/triangulation cost exactly once — then answers declarative JSON
-// queries with per-request deadlines and an engine-level result cache per
-// dataset.
+// queries with per-request deadlines and one answer cache per dataset (the
+// encoded-response byte cache, or the engine-level result cache when the
+// byte cache is disabled).
 //
 // Usage:
 //
@@ -104,7 +105,7 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:8080", "address to serve on")
 		demo       = flag.Bool("demo", false, "load three synthetic demo datasets (demo-ind, demo-xrel, demo-chain)")
 		demoN      = flag.Int("demo-n", 2000, "demo dataset size")
-		cacheCap   = flag.Int("cache", engine.DefaultCacheCapacity, "result-cache entries per dataset (negative disables)")
+		cacheCap   = flag.Int("cache", engine.DefaultCacheCapacity, "result-cache entries per dataset; used only with -byte-cache -1 (negative disables)")
 		byteCap    = flag.Int("byte-cache", serve.DefaultByteCacheCapacity, "response-byte-cache entries per dataset (negative disables)")
 		noFlight   = flag.Bool("no-single-flight", false, "disable the per-key latch that collapses concurrent identical cold requests")
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-request deadline (0 = none)")

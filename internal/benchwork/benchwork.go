@@ -427,9 +427,10 @@ func NewCachedEngine(e *engine.Engine, capacity int) *engine.CachedEngine {
 }
 
 // StartServeFixture starts an in-process HTTP server over the given
-// engines, with per-dataset caching at the given capacity (negative
-// disables) and the default wire path (byte cache + single-flight on).
-// Callers must Close the returned server.
+// engines with the default wire path (byte cache + single-flight on).
+// cacheCapacity is passed as serve.Options.CacheCapacity, which the server
+// uses only for datasets without a byte cache — so here it has no effect
+// on what is cached. Callers must Close the returned server.
 func StartServeFixture(engines map[string]*engine.Engine, cacheCapacity int) *httptest.Server {
 	return StartServeFixtureOpts(engines, serve.Options{CacheCapacity: cacheCapacity})
 }

@@ -24,8 +24,10 @@
 // adjacent transpositions, so a Sweep maintains it incrementally — an event
 // queue of pair-crossing times for the exact spectrum enumeration
 // (SpectrumSize), and insertion-certified grid stepping behind
-// RankPRFeBatch/TopKPRFeBatch for monotone α grids — instead of re-sorting
-// at every grid point.
+// RankPRFeBatch for monotone α grids — instead of re-sorting at every grid
+// point. Top-k queries first try the certified score-prefix selector
+// (topk.go), which reads only the prefix of the score order that can hold
+// the answer; grids whose prefixes grow past n/2 fall back to the sweep.
 //
 // Correlated datasets are handled by the andxor and junction packages; this
 // package is the independent-tuples fast path that the paper's Figure 11

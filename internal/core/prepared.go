@@ -634,45 +634,13 @@ func (v *Prepared) rankPRFeParallelCtx(ctx context.Context, alphas []float64) ([
 }
 
 // TopKPRFeBatch answers many PRFe top-k queries against the shared view.
-// out[a] equals RankPRFe(alphas[a]).TopK(k), bit-for-bit. Monotone α grids
-// in (0, 1] ride the kinetic sweep; other batches run per-α in parallel.
+// out[a] equals RankPRFe(alphas[a]).TopK(k), bit-for-bit. It is the
+// unvalidated, ctx-free form of QueryTopKPRFeBatch and shares its dispatch.
 func (v *Prepared) TopKPRFeBatch(alphas []float64, k int) []pdb.Ranking {
-	if len(alphas) >= 2 && gridForSweep(alphas) {
-		//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses TopKPRFeSweep with the caller's ctx
-		out, err := v.TopKPRFeSweep(context.Background(), alphas, k)
-		pdb.MustNoErr(err) // grid pre-checked and ctx never cancels
-		return out
-	}
-	return v.TopKPRFeBatchParallel(alphas, k)
-}
-
-// TopKPRFeBatchParallel is the non-kinetic top-k batch path: per-α
-// evaluation across workers, where each worker reuses one value buffer and
-// one full-ranking scratch for all its queries — only the k-length answers
-// are fresh allocations.
-func (v *Prepared) TopKPRFeBatchParallel(alphas []float64, k int) []pdb.Ranking {
-	//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses topKPRFeParallelCtx with the caller's ctx
-	out, err := v.topKPRFeParallelCtx(context.Background(), alphas, k)
+	//lint:allow ctxflow ctx-free compatibility API; the engine's query path calls QueryTopKPRFeBatch with the caller's ctx
+	out, err := v.topKPRFeBatchCtx(context.Background(), alphas, k)
 	pdb.MustNoErr(err) // Background never cancels
 	return out
-}
-
-// topKPRFeParallelCtx is the single body behind TopKPRFeBatchParallel and
-// the engine's non-grid QueryTopKPRFeBatch arm.
-func (v *Prepared) topKPRFeParallelCtx(ctx context.Context, alphas []float64, k int) ([]pdb.Ranking, error) {
-	out := make([]pdb.Ranking, len(alphas))
-	workers := par.WorkersFor(ctx, len(alphas))
-	vals := make([][]float64, workers)
-	ranks := make([]pdb.Ranking, workers)
-	err := par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
-		vals[w] = v.PRFeLogInto(complex(alphas[a], 0), vals[w])
-		ranks[w] = pdb.RankByValueInto(vals[w], ranks[w])
-		out[a] = ranks[w].TopK(k)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // PRFeCurve evaluates Υ_α(t) over a grid of real α values: curve[id][a] is

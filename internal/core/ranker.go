@@ -11,7 +11,8 @@ import (
 // Query* methods make *Prepared satisfy engine.Ranker — context-aware,
 // error-returning entry points over the same kernels the flat API calls, so
 // every answer is bit-for-bit what the legacy path returns. Dispatch picks
-// the fastest kernel available here: monotone α grids ride the kinetic
+// the fastest kernel available here: top-k answers come from certified
+// score prefixes (topk.go), monotone α grids otherwise ride the kinetic
 // sweep (one sort plus Theorem 4 crossings), other batches fan out per α
 // across GOMAXPROCS workers, and single queries run the fused scans
 // directly.
@@ -80,8 +81,11 @@ func (v *Prepared) QueryRankPRFeBatch(ctx context.Context, alphas []float64) ([]
 	return v.rankPRFeParallelCtx(ctx, alphas)
 }
 
-// QueryTopKPRFeBatch answers top-k at every α of a batch with the same
-// dispatch as QueryRankPRFeBatch. out[a] is bit-for-bit
+// QueryTopKPRFeBatch answers top-k at every α of a batch through the
+// certified score-prefix selector (topk.go). A strictly increasing grid in
+// (0, 1] is answered from prefixes of at most n/2 positions per point, or,
+// if any point needs more, by the kinetic sweep; any other batch runs one
+// selector per α in parallel. out[a] is bit-for-bit
 // RankPRFe(alphas[a]).TopK(k).
 func (v *Prepared) QueryTopKPRFeBatch(ctx context.Context, alphas []float64, k int) ([]pdb.Ranking, error) {
 	if err := pdb.CheckAlphaGrid(alphas); err != nil {
@@ -90,10 +94,7 @@ func (v *Prepared) QueryTopKPRFeBatch(ctx context.Context, alphas []float64, k i
 	if err := pdb.CheckTopK(k); err != nil {
 		return nil, err
 	}
-	if len(alphas) >= 2 && gridForSweep(alphas) {
-		return v.TopKPRFeSweep(ctx, alphas, k)
-	}
-	return v.topKPRFeParallelCtx(ctx, alphas, k)
+	return v.topKPRFeBatchCtx(ctx, alphas, k)
 }
 
 // QueryPRFeCombo evaluates Σ_l u_l·Υ_{α_l} with the fused single-pass

@@ -339,6 +339,21 @@ func (e *Engine) Rank(ctx context.Context, q Query) (*Result, error) {
 			res.Complex = vals
 			return res, nil
 		}
+		if q.Output == OutputTopK && q.Parallelism == 0 {
+			// A single-point top-k batch takes the backend's top-k kernel —
+			// on independent data the certified score-prefix selector,
+			// which never ranks the whole relation. α is checked here so
+			// the error reads as a single query's, not as grid point 0's.
+			if err := pdb.CheckAlpha(q.Alpha); err != nil {
+				return nil, err
+			}
+			rks, err := e.r.QueryTopKPRFeBatch(ctx, []float64{q.Alpha}, q.K)
+			if err != nil {
+				return nil, err
+			}
+			res.Ranking = rks[0]
+			return res, nil
+		}
 		rk, err := e.r.QueryRankPRFe(ctx, q.Alpha)
 		if err != nil {
 			return nil, err

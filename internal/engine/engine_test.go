@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -150,6 +151,43 @@ func TestERankRankingAscending(t *testing.T) {
 	for i := 1; i < len(res.Ranking); i++ {
 		if vals.Values[res.Ranking[i-1]] > vals.Values[res.Ranking[i]] {
 			t.Fatalf("E-Rank ranking not ascending in expected rank: %v with values %v", res.Ranking, vals.Values)
+		}
+	}
+}
+
+// TestRankTopKSingleAlpha: single-α PRFe top-k rides each backend's top-k
+// batch kernel, yet must answer exactly like the full ranking cut to k,
+// and a bad α must fail with the single-query CheckAlpha text — not the
+// batch validator's "grid point 0: …" wrapping.
+func TestRankTopKSingleAlpha(t *testing.T) {
+	ctx := context.Background()
+	for name, e := range cacheBackends(t) {
+		n := e.Ranker().Len()
+		for _, alpha := range []float64{0, 0.3, 0.9, 1, 1.5, -0.5} {
+			for _, k := range []int{0, 1, 5, n, n + 5} {
+				for _, p := range []int{0, 2} {
+					got, err := e.Rank(ctx, Query{Metric: MetricPRFe, Alpha: alpha, Output: OutputTopK, K: k, Parallelism: p})
+					if err != nil {
+						t.Fatalf("%s α=%v k=%d P=%d: %v", name, alpha, k, p, err)
+					}
+					full, err := e.Rank(ctx, Query{Metric: MetricPRFe, Alpha: alpha, Output: OutputRanking, Parallelism: p})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := full.Ranking.TopK(k); !reflect.DeepEqual(got.Ranking, want) {
+						t.Fatalf("%s α=%v k=%d P=%d: top-k %v, ranking cut %v", name, alpha, k, p, got.Ranking, want)
+					}
+				}
+			}
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			want := pdb.CheckAlpha(bad).Error()
+			for _, out := range []Output{OutputRanking, OutputTopK} {
+				_, err := e.Rank(ctx, Query{Metric: MetricPRFe, Alpha: bad, Output: out, K: 3})
+				if err == nil || err.Error() != want {
+					t.Errorf("%s α=%v %v: err %v, want %q", name, bad, out, err, want)
+				}
+			}
 		}
 	}
 }

@@ -50,16 +50,47 @@ func RankByAbs(vals []complex128) Ranking {
 	return RankByValue(abs)
 }
 
+// ByValue is the RankByValue order on (value, ID) pairs: non-increasing
+// value, NaN after every number, ties broken by ascending ID. It returns a
+// negative number when (va, a) ranks before (vb, b), zero only for the
+// same pair (IDs are non-negative, so a−b cannot overflow). Every
+// value-ordered ranking path — RankByValueInto, core's certified PRFe
+// top-k selector and the store's lazy view through it — uses this one
+// definition. With unique IDs it is a strict total order, so
+// any comparison sort or heap built on it is fully determined. The NaN arm
+// keeps it a valid strict weak ordering even for caller-supplied vectors
+// containing NaN (the ranking kernels themselves never produce one); it is
+// out of line so the common arms inline into sort comparators.
+func ByValue(va float64, a TupleID, vb float64, b TupleID) int {
+	switch {
+	case va > vb:
+		return -1
+	case vb > va:
+		return 1
+	case va == vb:
+		return int(a - b)
+	}
+	return byValueNaN(va, a, vb, b)
+}
+
+// byValueNaN is ByValue's out-of-line arm for pairs where at least one
+// value is NaN: NaN ranks below every number, and two NaNs tie on value.
+func byValueNaN(va float64, a TupleID, vb float64, b TupleID) int {
+	if an, bn := math.IsNaN(va), math.IsNaN(vb); an != bn {
+		if bn {
+			return -1
+		}
+		return 1
+	}
+	return int(a - b)
+}
+
 // RankByValueInto is RankByValue ranking into out, which is reallocated only
 // when its capacity is short — the allocation-free form for callers that
-// rank many value vectors through one reusable buffer. (value desc, ID asc,
-// NaN after every number) is a strict total order — IDs are unique — so the
-// comparison-based sort is fully determined and the generic pdqsort can be
-// used without a stability requirement; it avoids the reflection-based
-// swapper of sort.SliceStable entirely, which both speeds the sort up and
-// drops its allocations. The explicit NaN arm keeps the comparator a valid
-// strict weak ordering even for caller-supplied vectors containing NaN
-// (the ranking kernels themselves never produce one).
+// rank many value vectors through one reusable buffer. ByValue is a strict
+// total order, so the generic pdqsort needs no stability requirement; it
+// avoids the reflection-based swapper of sort.SliceStable entirely, which
+// both speeds the sort up and drops its allocations.
 func RankByValueInto(values []float64, out Ranking) Ranking {
 	if cap(out) < len(values) {
 		out = make(Ranking, len(values))
@@ -69,53 +100,18 @@ func RankByValueInto(values []float64, out Ranking) Ranking {
 		out[i] = TupleID(i)
 	}
 	slices.SortFunc(out, func(a, b TupleID) int {
-		va, vb := values[a], values[b]
-		if va != vb {
-			if va > vb {
-				return -1
-			}
-			if vb > va {
-				return 1
-			}
-			// At least one side is NaN; NaN ranks below every number.
-			if an, bn := math.IsNaN(va), math.IsNaN(vb); an != bn {
-				if bn {
-					return -1
-				}
-				return 1
-			}
-		}
-		if a < b {
-			return -1
-		}
-		if a > b {
-			return 1
-		}
-		return 0
+		return ByValue(values[a], a, values[b], b)
 	})
 	return out
 }
 
 // RankByValueFor ranks an explicit set of IDs by non-increasing value taken
-// from the map, ties broken by ID.
+// from the map, ties broken by ID (the ByValue order).
 func RankByValueFor(ids []TupleID, value map[TupleID]float64) Ranking {
 	out := make(Ranking, len(ids))
 	copy(out, ids)
 	slices.SortStableFunc(out, func(a, b TupleID) int {
-		va, vb := value[a], value[b]
-		if va != vb {
-			if va > vb {
-				return -1
-			}
-			return 1
-		}
-		if a < b {
-			return -1
-		}
-		if a > b {
-			return 1
-		}
-		return 0
+		return ByValue(value[a], a, value[b], b)
 	})
 	return out
 }

@@ -3,9 +3,11 @@
 // datasets (each already prepared into its fastest backend view and wrapped
 // in an engine.Engine), routes declarative JSON queries to the right
 // backend, enforces per-request deadlines through the engines' context
-// plumbing, and memoizes hot queries at two layers: a per-dataset
-// engine-level result cache and, above it, a per-dataset encoded-byte cache
-// so a hot hit is one Write with no re-encode (bytecache.go). Concurrent
+// plumbing, and memoizes hot queries in exactly one cache per dataset: the
+// encoded-byte cache, so a hot hit is one Write with no re-encode
+// (bytecache.go). Only when that cache is disabled does a dataset get an
+// engine-level result cache instead — holding both would store every
+// buffered answer twice, once as a Result and once as its bytes. Concurrent
 // identical cold requests collapse into one evaluation + one encode through
 // per-key single-flight latches (singleflight.go), POST /rankbatch can
 // stream each grid point as it is computed (stream.go), responses negotiate
@@ -70,12 +72,14 @@ type Options struct {
 	// MaxTimeout clamps client-requested timeouts (and the default); zero
 	// means no clamp.
 	MaxTimeout time.Duration
-	// CacheCapacity is the per-dataset result-cache entry bound: 0 takes
-	// engine.DefaultCacheCapacity, negative disables caching.
+	// CacheCapacity is the per-dataset engine-level result-cache entry
+	// bound: 0 takes engine.DefaultCacheCapacity, negative disables it. The
+	// result cache exists only while the byte cache is disabled
+	// (ByteCacheCapacity < 0); with the byte cache on, this field is unused.
 	CacheCapacity int
 	// ByteCacheCapacity is the per-dataset response-byte-cache entry bound:
-	// 0 takes DefaultByteCacheCapacity, negative disables the byte cache
-	// (the engine-level result cache is governed by CacheCapacity alone).
+	// 0 takes DefaultByteCacheCapacity, negative disables the byte cache and
+	// hands memoization to the engine-level result cache (CacheCapacity).
 	ByteCacheCapacity int
 	// DisableSingleFlight turns off the per-key latches that collapse
 	// concurrent identical cold requests into one evaluation + encode.
@@ -106,17 +110,17 @@ const (
 	defaultMaxAdminBody = 64 << 20
 )
 
-// dataset is one loaded, immutable dataset with its engines and wire-path
-// state: the encoded-byte cache and the serve-level single-flight group
-// (the engine-level CachedEngine carries its own flight group for callers
-// that bypass HTTP).
+// dataset is one loaded, immutable dataset with its engine and wire-path
+// state: at most one cache — the encoded-byte cache, or, when that is
+// disabled, the engine-level result cache — and the serve-level
+// single-flight group that collapses identical buffered requests.
 type dataset struct {
 	name   string
 	model  string
 	kind   string // store dataset kind; "" when registered directly
 	gen    uint64 // store generation; 0 when registered directly
 	eng    *engine.Engine
-	cached *engine.CachedEngine // nil when caching is disabled
+	cached *engine.CachedEngine // set only when the byte cache is disabled and CacheCapacity ≥ 0
 	bytes  *byteCache           // nil when byte caching is disabled
 	flight engine.FlightGroup
 }
@@ -231,13 +235,16 @@ func (s *Server) AddDataset(name string, e *engine.Engine) error {
 
 // newDataset builds a dataset entry with its own fresh cache generation —
 // every install goes through here, so counters always start at zero for a
-// new view.
+// new view. The engine-level result cache is built only without a byte
+// cache: above a byte cache it would hold a second copy of every buffered
+// answer and serve nothing the byte cache misses but a gzip/identity or
+// columnar sibling of the same query.
 func (s *Server) newDataset(name string, e *engine.Engine) *dataset {
 	d := &dataset{name: name, model: modelName(e.Ranker()), eng: e}
-	if s.opts.CacheCapacity >= 0 {
+	d.bytes = newByteCache(s.opts.ByteCacheCapacity)
+	if d.bytes == nil && s.opts.CacheCapacity >= 0 {
 		d.cached = engine.NewCached(e, s.opts.CacheCapacity)
 	}
-	d.bytes = newByteCache(s.opts.ByteCacheCapacity)
 	return d
 }
 
@@ -512,7 +519,9 @@ type DatasetInfo struct {
 	Name   string `json:"name"`
 	Model  string `json:"model"`
 	Tuples int    `json:"tuples"`
-	Cached bool   `json:"cached"`
+	// Cached reports whether repeated queries are memoized (by the byte
+	// cache or, when that is disabled, the engine-level result cache).
+	Cached bool `json:"cached"`
 	// Kind and Generation identify the stored snapshot behind the view;
 	// both are absent for datasets registered directly via AddDataset.
 	Kind       string `json:"kind,omitempty"`
@@ -524,7 +533,7 @@ func (d *dataset) info() DatasetInfo {
 		Name:       d.name,
 		Model:      d.model,
 		Tuples:     d.eng.Ranker().Len(),
-		Cached:     d.cached != nil,
+		Cached:     d.bytes != nil || d.cached != nil,
 		Kind:       d.kind,
 		Generation: d.gen,
 	}

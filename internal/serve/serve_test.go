@@ -198,7 +198,8 @@ func TestServeBatchMatchesEngine(t *testing.T) {
 }
 
 // TestServeCacheObservable: repeating a query must byte-match the first
-// answer and show up as a cache hit in /stats.
+// answer and show up as a byte-cache hit in /stats. With the byte cache on
+// it is the dataset's only cache, so /stats carries no engine cache block.
 func TestServeCacheObservable(t *testing.T) {
 	s, _ := testServer(t, Options{})
 	ts := httptest.NewServer(s)
@@ -225,18 +226,14 @@ func TestServeCacheObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, ok := st.Datasets["iip"]
-	if !ok || ds.Cache == nil {
-		t.Fatalf("stats missing iip cache block: %s", statsBody)
-	}
-	if ds.ByteCache == nil {
+	if !ok || ds.ByteCache == nil {
 		t.Fatalf("stats missing iip byte_cache block: %s", statsBody)
 	}
-	// The byte cache sits above the engine cache: the first request misses
-	// both and fills both, the two repeats are byte-cache hits that never
-	// reach the engine layer.
-	if ds.Cache.Misses < 1 {
-		t.Errorf("cache counters off: %+v", *ds.Cache)
+	if ds.Cache != nil {
+		t.Errorf("engine cache block present beside the byte cache: %s", statsBody)
 	}
+	// The first request misses and fills the byte cache; the two repeats
+	// are hits that never reach the engine.
 	if ds.ByteCache.Hits < 2 || ds.ByteCache.Misses < 1 || ds.ByteCache.Entries < 1 || ds.ByteCache.Bytes <= 0 {
 		t.Errorf("byte-cache counters off: %+v", *ds.ByteCache)
 	}
@@ -479,7 +476,9 @@ func TestServeHealthz(t *testing.T) {
 // queries from many clients (run with -race): every answer must byte-match
 // the reference answer for its query.
 func TestServeConcurrent(t *testing.T) {
-	s, _ := testServer(t, Options{CacheCapacity: 8}) // small cache: force concurrent eviction
+	// Byte cache off, so the engine cache is the dataset's cache; small
+	// cache: force concurrent eviction.
+	s, _ := testServer(t, Options{CacheCapacity: 8, ByteCacheCapacity: -1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

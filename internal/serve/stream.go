@@ -10,10 +10,10 @@ package serve
 // and by scripts/serve_smoke.sh.
 //
 // Streaming trades the byte cache and the encode-once batch for first-byte
-// latency, so it bypasses both the byte cache and the single-flight latch:
-// every streamed request evaluates on the engine-level cache directly
-// (chunk by chunk, which also means a context cut mid-grid stops the
-// remaining evaluation immediately). Mid-stream failures cannot be turned
+// latency, so it bypasses every cache and the single-flight latch: each
+// streamed request evaluates on the dataset's uncached engine
+// (Engine.RankBatchStream), one grid point at a time, which also means a
+// context cut mid-grid stops the remaining evaluation immediately. Mid-stream failures cannot be turned
 // into an error status — the 200 header is already on the wire — so the
 // stream is truncated instead, which a client detects as unterminated JSON.
 

@@ -242,6 +242,84 @@ func TestServeSmallBodyStaysIdentity(t *testing.T) {
 	}
 }
 
+// TestServeEncodingSiblings: with the byte cache as the dataset's only
+// cache, the identity and gzip variants of one query are separate entries,
+// so the second variant re-evaluates on the engine. Both bodies must still
+// carry the same answer, and each must be the byte-cache hit for its own
+// repeat.
+func TestServeEncodingSiblings(t *testing.T) {
+	s, engines := testServer(t, Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	alphas := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+	for _, tc := range []struct {
+		path string
+		q    WireQuery
+	}{
+		{"/rank", WireQuery{Metric: "prfe", Alpha: 0.8, Output: "values"}},
+		{"/rankbatch", WireQuery{Metric: "prfe", Alphas: alphas, Output: "topk", K: 40}},
+	} {
+		body := reqBody(t, "iip", tc.q)
+		resp, plain := postRaw(t, ts.URL+tc.path, body, "application/json", "identity")
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "" {
+			t.Fatalf("%s identity: status %d, Content-Encoding %q", tc.path, resp.StatusCode, resp.Header.Get("Content-Encoding"))
+		}
+		if len(plain) < gzipMinSize {
+			t.Fatalf("%s: body only %d bytes, too small to exercise gzip", tc.path, len(plain))
+		}
+		resp, zdata := postRaw(t, ts.URL+tc.path, body, "application/json", "gzip")
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "gzip" {
+			t.Fatalf("%s gzip: status %d, Content-Encoding %q", tc.path, resp.StatusCode, resp.Header.Get("Content-Encoding"))
+		}
+		if got := gunzip(t, zdata); !bytes.Equal(got, plain) {
+			t.Errorf("%s: gzip sibling inflates to a different body than identity", tc.path)
+		}
+		// Both bodies are the in-process engine's answer.
+		q, err := tc.q.ToQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if tc.path == "/rank" {
+			res, err := engines["iip"].Rank(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewEncoder(&want).Encode(RankResponse{Dataset: "iip", WireResult: FromResult(res)})
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			res, err := engines["iip"].RankBatch(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.NewEncoder(&want).Encode(BatchResponse{Dataset: "iip", Results: FromResults(res)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(plain, want.Bytes()) {
+			t.Errorf("%s: served body diverges from the in-process engine", tc.path)
+		}
+		// Repeats of each variant are byte-identical hits.
+		if _, again := postRaw(t, ts.URL+tc.path, body, "application/json", "identity"); !bytes.Equal(again, plain) {
+			t.Errorf("%s: identity repeat differs", tc.path)
+		}
+		if _, again := postRaw(t, ts.URL+tc.path, body, "application/json", "gzip"); !bytes.Equal(again, zdata) {
+			t.Errorf("%s: gzip repeat differs", tc.path)
+		}
+	}
+	_, statsBody := get(t, ts.URL+"/stats")
+	var st StatsResponse
+	if err := json.Unmarshal(statsBody, &st); err != nil {
+		t.Fatal(err)
+	}
+	bc := st.Datasets["iip"].ByteCache
+	if bc == nil || bc.Misses != 4 || bc.Hits != 4 || bc.Entries != 4 {
+		t.Errorf("byte cache: want 4 misses (two queries × two encodings), 4 hits, 4 entries; got %s", statsBody)
+	}
+}
+
 // stormRanker wraps a Ranker, counting batch evaluations and holding each
 // one long enough for a storm of waiters to pile onto the flight.
 type stormRanker struct {

@@ -12,22 +12,19 @@ package store
 // else (full rankings, per-tuple metrics, complex α) forces one full
 // materialization into a core.Prepared and delegates from then on.
 //
-// The partial path reproduces core.QueryTopKPRFeBatch bit-for-bit: the
-// values come from the same kernel arithmetic (core.PRFeLogSpan is pinned
-// to PRFeLogInto), the candidate order is the RankByValue comparator, and
-// certification demands a strict win over the bound so an unmaterialized
-// tuple can never displace a chosen one even on a value tie (ties beyond
-// the bound would need an ID comparison the prefix cannot see).
+// The partial path is core.PRFeTopK — the certified selector behind
+// core.Prepared's top-k — fed span by span from disk, so it reproduces
+// core's QueryTopKPRFeBatch bit-for-bit: the same kernel arithmetic, the
+// same pdb.ByValue order, and the same strict win over the bound, so an
+// unmaterialized tuple can never displace a chosen one even on a value
+// tie.
 
 import (
 	"context"
-	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/pdb"
 )
 
@@ -40,6 +37,10 @@ const minPartialPrefix = 256
 type LazyPrepared struct {
 	h *Handle
 	n int
+	// minPrefix is the first prefix length a partial read may start from:
+	// minPartialPrefix, lowered only by tests that drive the partial path
+	// on relations small enough for possible-worlds enumeration.
+	minPrefix int
 
 	// full flips once, from nil to the fully materialized view; after that
 	// every query delegates lock-free.
@@ -54,7 +55,7 @@ type LazyPrepared struct {
 // NewLazy wraps an open independent-tuple segment handle. The LazyPrepared
 // owns the handle and closes it once fully materialized.
 func NewLazy(h *Handle) *LazyPrepared {
-	return &LazyPrepared{h: h, n: h.Len()}
+	return &LazyPrepared{h: h, n: h.Len(), minPrefix: minPartialPrefix}
 }
 
 // BytesRead reports the segment bytes read so far — the measure behind the
@@ -125,7 +126,7 @@ func (l *LazyPrepared) QueryTopKPRFeBatch(ctx context.Context, alphas []float64,
 	if err := pdb.CheckTopK(k); err != nil {
 		return nil, err
 	}
-	if l.partialEligible(ctx, alphas, k) {
+	if l.partialEligible(alphas, k) {
 		out, ok, err := l.partialTopK(ctx, alphas, k)
 		if err != nil {
 			return nil, err
@@ -141,17 +142,13 @@ func (l *LazyPrepared) QueryTopKPRFeBatch(ctx context.Context, alphas []float64,
 	return p.QueryTopKPRFeBatch(ctx, alphas, k)
 }
 
-// partialEligible gates the prefix path to exactly the queries whose full
-// result it can reproduce bit-for-bit: the monotone bound needs every
-// α ∈ (0, 1), the sharded kernel (an explicit parallelism request) has its
-// own ≈-equality contract the prefix must not impersonate, and the prefix
-// must stay well under n for the read to be worth anything. α = 1 is sound
-// but pointless — every factor is exactly 1 so the bound pins at 0 while
-// all values are ≤ 0, and certification can never fire.
-func (l *LazyPrepared) partialEligible(ctx context.Context, alphas []float64, k int) bool {
-	if k == 0 || par.Limit(ctx) > 0 {
-		return false
-	}
+// partialEligible gates the prefix path to the queries it can answer: the
+// monotone bound needs every α ∈ (0, 1) (α = 1 is sound but pointless —
+// every factor is exactly 1, so the bound pins at 0 while all values are
+// ≤ 0 — and core.PRFeTopK keeps its early stop off outside the open
+// interval), and the prefix must stay well under n for the read to be
+// worth anything.
+func (l *LazyPrepared) partialEligible(alphas []float64, k int) bool {
 	if 2*l.startPrefix(k) > l.n {
 		return false
 	}
@@ -165,13 +162,14 @@ func (l *LazyPrepared) partialEligible(ctx context.Context, alphas []float64, k 
 
 // startPrefix is the first prefix length tried for a top-k query.
 func (l *LazyPrepared) startPrefix(k int) int {
-	return max(4*k, minPartialPrefix)
+	return max(4*k, l.minPrefix)
 }
 
-// partialTopK materializes doubling score prefixes, extending the PRFe log
-// scan span by span, until every α's top-k is certified against the
-// remaining-value bound or the prefix would pass n/2 (then it reports
-// !ok and the caller does a full load).
+// partialTopK materializes doubling score prefixes and feeds each new span
+// to one core.PRFeTopK selector per α — the certified selector behind
+// core.Prepared's top-k — until every α's answer is certified or the
+// prefix would pass n/2 (then it reports !ok and the caller does a full
+// load).
 func (l *LazyPrepared) partialTopK(ctx context.Context, alphas []float64, k int) ([]pdb.Ranking, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -179,42 +177,29 @@ func (l *LazyPrepared) partialTopK(ctx context.Context, alphas []float64, k int)
 		// Materialized while we waited for the lock; the fast path owns it.
 		return nil, false, nil
 	}
-	states := make([]core.PRFeLogState, len(alphas))
-	vals := make([][]float64, len(alphas))
-	out := make([]pdb.Ranking, len(alphas))
-	ndone := 0
-	computed := 0
+	sels := make([]*core.PRFeTopK, len(alphas))
+	for a, alpha := range alphas {
+		sels[a] = core.NewPRFeTopK(alpha, k)
+	}
 	for m := l.startPrefix(k); 2*m <= l.n; m *= 2 {
 		if err := l.extendPrefix(m); err != nil {
 			return nil, false, err
 		}
-		for a := range alphas {
+		done := true
+		for _, s := range sels {
 			if err := pdb.CtxErr(ctx); err != nil {
 				return nil, false, err
 			}
-			if out[a] != nil {
-				continue
-			}
-			if cap(vals[a]) < m {
-				grown := make([]float64, m, 2*m)
-				copy(grown, vals[a])
-				vals[a] = grown
-			} else {
-				vals[a] = vals[a][:m]
-			}
-			core.PRFeLogSpan(complex(alphas[a], 0), l.probs[computed:m], &states[a], vals[a][computed:m])
-		}
-		computed = m
-		for a := range alphas {
-			if out[a] != nil {
-				continue
-			}
-			if rk, ok := certifyTopK(vals[a], l.ids, states[a], alphas[a], k); ok {
-				out[a] = rk
-				ndone++
+			// An uncertified selector has consumed the whole previous prefix.
+			if seen := s.Seen(); !s.Feed(l.ids[seen:m], l.probs[seen:m]) {
+				done = false
 			}
 		}
-		if ndone == len(alphas) {
+		if done {
+			out := make([]pdb.Ranking, len(sels))
+			for a, s := range sels {
+				out[a] = s.Ranking()
+			}
 			return out, true, nil
 		}
 	}
@@ -238,58 +223,6 @@ func (l *LazyPrepared) extendPrefix(m int) error {
 	l.ids = append(l.ids, ids...)
 	l.probs = append(l.probs, probs...)
 	return nil
-}
-
-// certifyTopK ranks the materialized positions by (value desc, original ID
-// asc) — the RankByValue order — and accepts the first k when the kth value
-// strictly beats the bound on every unmaterialized tuple. Strictness is
-// what makes ID tie-breaking sound: a tuple at exactly the bound could tie
-// a chosen value with a smaller ID.
-func certifyTopK(vals []float64, ids []pdb.TupleID, st core.PRFeLogState, alpha float64, k int) (pdb.Ranking, bool) {
-	m := len(vals)
-	if k > m {
-		return nil, false
-	}
-	bound := math.Inf(-1)
-	if !st.Zeroed {
-		bound = st.LogProd + math.Log(alpha)
-	}
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		va, vb := vals[a], vals[b]
-		if va != vb {
-			if va > vb {
-				return -1
-			}
-			if vb > va {
-				return 1
-			}
-			if an, bn := math.IsNaN(va), math.IsNaN(vb); an != bn {
-				if bn {
-					return -1
-				}
-				return 1
-			}
-		}
-		if ids[a] < ids[b] {
-			return -1
-		}
-		if ids[a] > ids[b] {
-			return 1
-		}
-		return 0
-	})
-	if !(vals[order[k-1]] > bound) {
-		return nil, false
-	}
-	rk := make(pdb.Ranking, k)
-	for i := range rk {
-		rk[i] = ids[order[i]]
-	}
-	return rk, true
 }
 
 // The remaining Ranker methods need whole-relation state; each forces one

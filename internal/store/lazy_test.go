@@ -89,9 +89,10 @@ func TestLazyTopKMatchesFull(t *testing.T) {
 	}
 }
 
-// TestLazyFallbacksMatchFull pins the paths that must decline partial
-// answering — α outside (0,1], an explicit parallelism limit, huge k — to
-// the full-load result.
+// TestLazyFallbacksMatchFull pins the edge paths to the full-load result:
+// α outside (0,1) and huge k, which decline partial answering, and an
+// explicit parallelism limit and k = 0, which the certified selector
+// answers from a prefix (top-k has no sharded kernel to defer to).
 func TestLazyFallbacksMatchFull(t *testing.T) {
 	ctx := context.Background()
 	s := tempStore(t)

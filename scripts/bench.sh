@@ -8,8 +8,16 @@
 # α refinement over the engine's Ranker interface), and the consensus-
 # semantics arms (semantics/*: Global-Topk, Expected-Rank and Median-Rank
 # through the unified engine).
-# Usage: scripts/bench.sh [OUT.json]   (default: BENCH_9.json in the repo root)
+# With a second argument — an earlier report measured on the same host,
+# typically the parent commit's — every arm both reports share is also
+# recorded as a before/after pair under "baseline".
+# Usage: scripts/bench.sh [OUT.json] [BASELINE.json]
+#        (default OUT: BENCH_15.json in the repo root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_9.json}"
-go run ./cmd/bench -out "$out"
+out="${1:-BENCH_15.json}"
+if [ -n "${2:-}" ]; then
+  go run ./cmd/bench -out "$out" -baseline "$2"
+else
+  go run ./cmd/bench -out "$out"
+fi

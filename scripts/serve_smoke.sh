@@ -7,8 +7,8 @@
 # engine, no HTTP, no cache). Also diffs the gzip-negotiated response
 # (after decompression) and the streamed response (after reassembly)
 # against the buffered body, checks the error statuses (including the 415
-# Content-Type gate) and that both the result cache and the response-byte
-# cache register hits for repeated queries.
+# Content-Type gate) and that the response-byte cache — each dataset's one
+# cache — registers hits for repeated queries.
 #
 # Usage: scripts/serve_smoke.sh
 # Runs in CI (serve-smoke job) and locally; needs only go and curl.
