@@ -29,7 +29,8 @@
 //     vs one-shot (prepare per call);
 //   - correlated: PRFe, α sweeps and PRFe combinations on and/xor trees
 //     (Syn-XOR x-tuples and Syn-HIGH deep correlation), the Section 9.3
-//     Markov chain (product-tree prepared path vs the Θ(n³) partial-sum DP)
+//     Markov chain (product-tree prepared path vs the Θ(n³) partial-sum DP,
+//     and a cold PT(h) on the truncated DP)
 //     and the Section 9.4 junction tree (prepared vs one-shot);
 //   - engine: the unified Ranker engine (PR 4). ONE generic sweep body runs
 //     against all four backends through Engine.RankBatch dispatch; the
@@ -165,11 +166,13 @@ type Baseline struct {
 // BeforeAfter is one arm measured in the baseline report and in this one.
 // Section is "full" (the suite at -n) or "store" (the -store-n arms).
 type BeforeAfter struct {
-	Name     string  `json:"name"`
-	Section  string  `json:"section"`
-	BeforeMs float64 `json:"before_ms_per_op"`
-	AfterMs  float64 `json:"after_ms_per_op"`
-	Speedup  float64 `json:"speedup"`
+	Name         string  `json:"name"`
+	Section      string  `json:"section"`
+	BeforeMs     float64 `json:"before_ms_per_op"`
+	AfterMs      float64 `json:"after_ms_per_op"`
+	Speedup      float64 `json:"speedup"`
+	BeforeAllocs int64   `json:"before_allocs_per_op"`
+	AfterAllocs  int64   `json:"after_allocs_per_op"`
 }
 
 // pairArms builds the before/after block: every arm present in both the
@@ -178,14 +181,15 @@ type BeforeAfter struct {
 func pairArms(from string, old, cur Report) *Baseline {
 	b := &Baseline{From: from}
 	pair := func(section string, olds, curs []Result) {
-		before := map[string]float64{}
+		before := map[string]Result{}
 		for _, r := range olds {
-			before[r.Name] = r.MsPerOp
+			before[r.Name] = r
 		}
 		for _, r := range curs {
-			if ms, ok := before[r.Name]; ok && ms > 0 && r.MsPerOp > 0 {
+			if o, ok := before[r.Name]; ok && o.MsPerOp > 0 && r.MsPerOp > 0 {
 				b.Arms = append(b.Arms, BeforeAfter{Name: r.Name, Section: section,
-					BeforeMs: ms, AfterMs: r.MsPerOp, Speedup: ms / r.MsPerOp})
+					BeforeMs: o.MsPerOp, AfterMs: r.MsPerOp, Speedup: o.MsPerOp / r.MsPerOp,
+					BeforeAllocs: o.AllocsOp, AfterAllocs: r.AllocsOp})
 			}
 		}
 	}
@@ -328,6 +332,7 @@ func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 	chDP := add("correlated/junction-chain-prfe-dp", func() { benchwork.ChainPRFeDP(chain) })
 	chFast := add("correlated/junction-chain-prfe", func() { benchwork.ChainPRFe(chain) })
 	chSweep := add("correlated/prepared/chain-sweep", func() { benchwork.ChainSweepPrepared(chain, calphas) })
+	add("correlated/chain-pth-cold", func() { benchwork.ChainPThCold(chain, 10) })
 	netOne := add("correlated/junction-network-sweep-oneshot", func() { benchwork.NetworkSweepOneShot(net, netCalphas) })
 	netPrep := add("correlated/prepared/network-sweep", func() { benchwork.NetworkSweepPrepared(net, netCalphas) })
 
@@ -806,7 +811,8 @@ func main() {
 		report.Baseline = pairArms(*baseline, old, report)
 		fmt.Printf("\nbefore/after against %s:\n", *baseline)
 		for _, a := range report.Baseline.Arms {
-			fmt.Printf("%-6s %-44s %12.3f → %12.3f ms/op  (%.2fx)\n", a.Section, a.Name, a.BeforeMs, a.AfterMs, a.Speedup)
+			fmt.Printf("%-6s %-44s %12.3f → %12.3f ms/op  (%.2fx)  %d → %d allocs/op\n",
+				a.Section, a.Name, a.BeforeMs, a.AfterMs, a.Speedup, a.BeforeAllocs, a.AfterAllocs)
 		}
 	}
 	writeReport(report, *out)

@@ -256,6 +256,15 @@ func ChainSweepPrepared(c *junction.Chain, calphas []complex128) {
 	junction.PrepareChain(c).PRFeBatch(calphas)
 }
 
+// ChainPThCold answers one PT(h) query on a freshly prepared chain — the
+// first read after a dataset refresh, which has no cached state to lean
+// on. PT(h) runs the partial-sum DP truncated to h coefficients.
+func ChainPThCold(c *junction.Chain, h int) {
+	if _, err := junction.PrepareChain(c).QueryPTh(context.Background(), h); err != nil {
+		panic(err)
+	}
+}
+
 // ChainNetwork converts the chain into a general Markov network for the
 // junction-tree workloads.
 func ChainNetwork(c *junction.Chain) *junction.Network {

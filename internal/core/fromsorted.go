@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"repro/internal/exact"
 	"repro/internal/pdb"
 )
 
@@ -30,51 +29,50 @@ var (
 // FromSorted builds a Prepared view directly from arrays already in the
 // canonical order Prepare would establish: scores non-increasing, ties
 // broken by ascending tuple ID, with ids a permutation of 0..n-1. The
-// arrays are copied, then validated in O(n) — no sort happens, which is
-// what makes opening a score-ordered on-disk segment a sequential scan.
-// The resulting view is bit-for-bit the one Prepare builds from the same
-// tuples.
+// arrays are validated in O(n) by CheckSorted, then copied — no sort
+// happens, which is what makes opening a score-ordered on-disk segment a
+// sequential scan. The resulting view is bit-for-bit the one Prepare builds
+// from the same tuples.
 func FromSorted(ids []pdb.TupleID, scores, probs []float64) (*Prepared, error) {
-	n := len(ids)
-	if len(scores) != n || len(probs) != n {
-		return nil, ErrBadArrays
+	if err := CheckSorted(ids, scores, probs); err != nil {
+		return nil, err
 	}
 	v := &Prepared{
-		ids:    make([]pdb.TupleID, n),
-		scores: make([]float64, n),
-		probs:  make([]float64, n),
+		ids:    make([]pdb.TupleID, len(ids)),
+		scores: make([]float64, len(ids)),
+		probs:  make([]float64, len(ids)),
 	}
 	copy(v.ids, ids)
 	copy(v.scores, scores)
 	copy(v.probs, probs)
+	return v, nil
+}
+
+// CheckSorted reports whether the arrays are a valid prepared view exactly
+// as FromSorted would admit them — ErrBadArrays or ErrNotSorted if not —
+// without copying them.
+func CheckSorted(ids []pdb.TupleID, scores, probs []float64) error {
+	n := len(ids)
+	if len(scores) != n || len(probs) != n {
+		return ErrBadArrays
+	}
 	seen := make([]bool, n)
-	for i := 0; i < n; i++ {
-		id := v.ids[i]
+	for i, id := range ids {
 		if id < 0 || int(id) >= n || seen[id] {
-			return nil, ErrBadArrays
+			return ErrBadArrays
 		}
 		seen[id] = true
-		if math.IsNaN(v.probs[i]) || v.probs[i] < 0 || v.probs[i] > 1 {
-			return nil, ErrBadArrays
+		if math.IsNaN(probs[i]) || probs[i] < 0 || probs[i] > 1 {
+			return ErrBadArrays
 		}
-		if math.IsNaN(v.scores[i]) || math.IsInf(v.scores[i], 0) {
-			return nil, ErrBadArrays
+		if math.IsNaN(scores[i]) || math.IsInf(scores[i], 0) {
+			return ErrBadArrays
 		}
-		if i == 0 {
-			continue
-		}
-		// The canonical comparator: strictly decreasing score, or the same
-		// IEEE value with ascending IDs (so -0 ties 0, exactly as the
-		// Prepare/SortByScore comparators treat them).
-		if exact.Same(v.scores[i-1], v.scores[i]) {
-			if v.ids[i-1] >= id {
-				return nil, ErrNotSorted
-			}
-		} else if !(v.scores[i-1] > v.scores[i]) {
-			return nil, ErrNotSorted
+		if i > 0 && canonicalCmp(scores[i-1], ids[i-1], scores[i], id) >= 0 {
+			return ErrNotSorted
 		}
 	}
-	return v, nil
+	return nil
 }
 
 // PRFeLogState is the running state of a log-domain PRFe scan, carried

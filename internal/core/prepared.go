@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/exact"
@@ -94,18 +94,60 @@ func Prepare(d *pdb.Dataset) *Prepared {
 	}
 	// (score desc, ID asc) is a strict total order — IDs are unique — so the
 	// unstable sort yields the same permutation as SortByScore's stable one.
-	sort.Slice(idx, func(a, b int) bool {
-		ta, tb := ts[idx[a]], ts[idx[b]]
-		if !exact.Same(ta.Score, tb.Score) {
-			return ta.Score > tb.Score
-		}
-		return ta.ID < tb.ID
+	slices.SortFunc(idx, func(a, b int) int {
+		return canonicalCmp(ts[a].Score, ts[a].ID, ts[b].Score, ts[b].ID)
 	})
 	for i, j := range idx {
 		t := ts[j]
 		v.ids[i], v.scores[i], v.probs[i] = t.ID, t.Score, t.Prob
 	}
 	return v
+}
+
+// PrepareArrays builds the sorted view of parallel score/probability
+// arrays, tuple i taking ID i: the view Prepare builds from
+// pdb.NewDataset(scores, probs), validated with the same error texts, but
+// sorted straight from the arrays without materializing the tuples. The
+// inputs are not retained.
+func PrepareArrays(scores, probs []float64) (*Prepared, error) {
+	if err := pdb.ValidateArrays(scores, probs); err != nil {
+		return nil, err
+	}
+	n := len(scores)
+	v := &Prepared{
+		ids:    make([]pdb.TupleID, n),
+		scores: make([]float64, n),
+		probs:  make([]float64, n),
+	}
+	for i := range v.ids {
+		v.ids[i] = pdb.TupleID(i)
+	}
+	slices.SortFunc(v.ids, func(a, b pdb.TupleID) int {
+		return canonicalCmp(scores[a], a, scores[b], b)
+	})
+	for i, id := range v.ids {
+		v.scores[i], v.probs[i] = scores[id], probs[id]
+	}
+	return v, nil
+}
+
+// canonicalCmp is the prepared order, the one definition every sort and
+// every order check in this package uses: score descending, equal scores
+// (exact.Same, so -0 ties 0) by ascending ID.
+func canonicalCmp(sa float64, ia pdb.TupleID, sb float64, ib pdb.TupleID) int {
+	if !exact.Same(sa, sb) {
+		if sa > sb {
+			return -1
+		}
+		return 1
+	}
+	if ia < ib {
+		return -1
+	}
+	if ia > ib {
+		return 1
+	}
+	return 0
 }
 
 // Len returns the number of tuples in the view.

@@ -5,7 +5,6 @@ import (
 	"fmt" //lint:allow kernelpurity fmt.Errorf/Sprintf on construction and validation paths only; no formatting in the per-tuple inner loops
 	"math"
 
-	"repro/internal/exact"
 	"repro/internal/pdb"
 )
 
@@ -97,99 +96,107 @@ func (c *Chain) Network() (*Network, error) {
 }
 
 // RankDistribution computes the positional probabilities with the direct
-// Section 9.3 chain dynamic program: O(n²) per tuple, O(n³) total.
+// Section 9.3 chain dynamic program: O(n²) per tuple, O(n³) total. It
+// returns a fresh matrix on every call; PreparedChain caches one.
 func (c *Chain) RankDistribution() *pdb.RankDistribution {
-	n := len(c.scores)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// Sort by non-increasing score, ties by index.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if c.scores[b] > c.scores[a] || (exact.Same(c.scores[b], c.scores[a]) && b < a) {
-				order[j-1], order[j] = order[j], order[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	delta := make([]bool, n)
-	dist := make([][]float64, n)
-	for i, v := range order {
-		for j := range delta {
-			delta[j] = false
-		}
-		for j := 0; j < i; j++ {
-			delta[order[j]] = true
-		}
-		sums := c.partialSumDP(v, delta)
-		row := make([]float64, i+1)
-		for p := 0; p < len(sums) && p <= i; p++ {
-			row[p] = sums[p]
-		}
-		dist[v] = row
-	}
-	return &pdb.RankDistribution{Dist: dist}
+	return PrepareChain(c).rankDistribution()
 }
 
-// partialSumDP computes Pr(Y_target = 1 ∧ Σ_{δ} Y = p) along the chain.
-func (c *Chain) partialSumDP(target int, delta []bool) []float64 {
-	n := len(c.scores)
-	// g[y] is the vector over p of Pr(Y_j = y ∧ partial sum ∧ evidence),
-	// where the partial sum covers δ-variables with index < j.
-	m0 := [2]float64{c.pair[0][0][0] + c.pair[0][0][1], c.pair[0][1][0] + c.pair[0][1][1]}
-	g := [2][]float64{{m0[0]}, {m0[1]}}
-	if target == 0 {
-		g[0] = []float64{0}
+// sumRows is the scratch of the partial-sum DP: two reusable pairs of rows,
+// g[y][p] = Pr(Y_j = y ∧ Σ_{marked u < j} Y_u = p ∧ evidence) for the
+// current variable j and next[y] for variable j+1. Each row holds the
+// coefficients below the DP's limit.
+type sumRows struct{ g, next [2][]float64 }
+
+func newSumRows(limit int) *sumRows {
+	buf := make([]float64, 4*limit)
+	return &sumRows{
+		g:    [2][]float64{buf[:limit:limit], buf[limit : 2*limit : 2*limit]},
+		next: [2][]float64{buf[2*limit : 3*limit : 3*limit], buf[3*limit:]},
 	}
+}
+
+// partialSums is the Section 9.3 partial-sum DP along the chain:
+//
+//	out[p] = Pr(Y_target = 1 ∧ Σ_{u marked} Y_u = p)   for p < len(out).
+//
+// Coefficient p of every row depends only on coefficients ≤ p of the row
+// before it (a marked present variable shifts by one, nothing shifts
+// down), so computing the first len(out) coefficients and dropping the
+// rest is exact: the result is bit-for-bit the prefix of the full DP.
+// Rows carry a width w — every coefficient at p ≥ w is zero — which grows
+// by one per marked variable up to the limit, so the cost is
+// O(n·min(len(out), marked+1)) with no allocation; rows is caller-owned
+// scratch sized for at least len(out) coefficients.
+func (pc *PreparedChain) partialSums(target int, marked []bool, out []float64, rows *sumRows) {
+	n, limit := pc.Len(), len(out)
+	g, next := rows.g, rows.next
+	g[0][0], g[1][0] = pc.m[0][0], pc.m[0][1]
+	if target == 0 {
+		g[0][0] = 0 // evidence Y_target = 1
+	}
+	w := 1
 	for j := 0; j < n-1; j++ {
-		mj := [2]float64{c.pair[j][0][0] + c.pair[j][0][1], c.pair[j][1][0] + c.pair[j][1][1]}
-		var next [2][]float64
-		next[0] = []float64{0}
-		next[1] = []float64{0}
-		for y := 0; y < 2; y++ {
-			if mj[y] == 0 {
-				continue
-			}
-			// Fold Y_j's δ contribution while transitioning out of it.
-			shift := 0
-			if delta[j] && y == 1 {
-				shift = 1
-			}
-			for yn := 0; yn < 2; yn++ {
-				cond := c.pair[j][y][yn] / mj[y]
+		// Fold Y_j's marked contribution while transitioning out of it.
+		w2 := w
+		if marked[j] && w < limit {
+			w2++
+		}
+		for yn := 0; yn < 2; yn++ {
+			dst := next[yn][:w2]
+			clear(dst)
+			for y := 0; y < 2; y++ {
+				// Zero marginals have zero conditional rows (PrepareChain).
+				cond := pc.cond[j][y][yn]
 				if cond == 0 {
 					continue
 				}
-				src := g[y]
-				dst := make([]float64, len(src)+shift)
-				for p, x := range src {
-					dst[p+shift] = x * cond
+				if y == 1 && marked[j] {
+					for p, x := range g[y][:w2-1] {
+						dst[p+1] += x * cond
+					}
+				} else {
+					for p, x := range g[y][:w] {
+						dst[p] += x * cond
+					}
 				}
-				next[yn] = addVec(next[yn], dst)
 			}
 		}
-		g = next
 		if target == j+1 {
-			g[0] = []float64{0}
+			clear(next[0][:w2])
 		}
+		g, next = next, g
+		w = w2
 	}
-	// Fold the last variable's δ contribution and sum out.
-	var out []float64
-	for y := 0; y < 2; y++ {
-		shift := 0
-		if delta[n-1] && y == 1 {
-			shift = 1
-		}
-		v := make([]float64, len(g[y])+shift)
-		for p, x := range g[y] {
-			v[p+shift] = x
-		}
-		out = addVec(out, v)
+	// Fold the last variable's marked contribution and sum out.
+	clear(out)
+	copy(out, g[0][:w])
+	shift := 0
+	if marked[n-1] {
+		shift = 1
 	}
-	return out
+	for p, x := range g[1][:min(w, limit-shift)] {
+		out[p+shift] += x
+	}
+}
+
+// rankDistribution builds the positional-probability matrix with the
+// partial-sum DP: the tuple at score position i has i higher-ranked
+// (marked) variables, so its row is the DP truncated to i+1 coefficients.
+func (pc *PreparedChain) rankDistribution() *pdb.RankDistribution {
+	n := pc.Len()
+	dist := make([][]float64, n)
+	buf := make([]float64, n*(n+1)/2)
+	rows := newSumRows(n)
+	marked := make([]bool, n)
+	for i, v := range pc.order {
+		row := buf[: i+1 : i+1]
+		buf = buf[i+1:]
+		pc.partialSums(v, marked, row, rows)
+		dist[v] = row
+		marked[v] = true
+	}
+	return &pdb.RankDistribution{Dist: dist}
 }
 
 // PRFeChain evaluates Υ_α per tuple. One-shot prepare-then-call wrapper over

@@ -223,11 +223,12 @@ type PreparedChain struct {
 
 // RankDistribution returns the chain's positional-probability matrix,
 // computing it with the Section 9.3 partial-sum DP (Θ(n³)) on first use and
-// serving the cached immutable matrix afterwards. The ω-based ranking
-// functions (PRF, PRFω(h), PT(h), E-Rank) fold this matrix; PRFe does not
-// need it — the product-tree algorithm stays O(n log n) per α.
+// serving the cached immutable matrix afterwards. Only the folds that need
+// every rank read it: arbitrary-ω PRF, Median-Rank and E-Rank. PRFe runs
+// the O(n log n) product tree, and PT(h) and PRFω(h) run the same DP
+// truncated to their first h coefficients, O(n²·h), without the matrix.
 func (pc *PreparedChain) RankDistribution() *pdb.RankDistribution {
-	pc.rdOnce.Do(func() { pc.rd = pc.c.RankDistribution() })
+	pc.rdOnce.Do(func() { pc.rd = pc.rankDistribution() })
 	return pc.rd
 }
 
@@ -257,8 +258,8 @@ func PrepareChain(c *Chain) *PreparedChain {
 	for i := range pc.order {
 		pc.order[i] = i
 	}
-	// (score desc, index asc) is a strict total order, so this yields the
-	// exact permutation Chain.RankDistribution's order uses.
+	// (score desc, index asc) is a strict total order, so any sort yields
+	// the same permutation.
 	scores := c.scores
 	sort.SliceStable(pc.order, func(a, b int) bool {
 		if !exact.Same(scores[pc.order[a]], scores[pc.order[b]]) {

@@ -14,9 +14,12 @@ import (
 // On a PreparedNetwork every ranking function folds the cached
 // rank-distribution matrix (one Section 9.4 DP pass, ever), so the marginal
 // cost of a query after the first is an O(n²) fold. On a PreparedChain the
-// PRFe family runs the O(n log n) product-tree algorithm; the ω-based
-// family (PRF, PRFω(h), PT(h), E-Rank) has no known sub-cubic algorithm and
-// folds the chain's Θ(n³) rank-distribution DP, computed once and cached.
+// PRFe family runs the O(n log n) product-tree algorithm. PT(h) and PRFω(h)
+// need only the first h coefficients of each tuple's partial-sum generating
+// function, so they run the Section 9.3 DP truncated to h coefficients,
+// O(n²·h) per query. Arbitrary-ω PRF, Median-Rank and E-Rank weigh every
+// rank and fold the chain's Θ(n³) rank-distribution matrix, built by the
+// same DP once and cached.
 
 // ---------------------------------------------------------------------------
 // PreparedNetwork: arbitrary correlations via the junction tree.
@@ -280,8 +283,9 @@ func (pc *PreparedChain) QueryPRFeCombo(ctx context.Context, us, alphas []comple
 }
 
 // QueryPRF evaluates Υω by folding the cached chain rank distribution
-// (Θ(n³) on first use, O(n²) afterwards — no sub-cubic chain algorithm is
-// known for arbitrary ω; the product-tree trick is PRFe-specific).
+// (Θ(n³) on first use, O(n²) afterwards): an arbitrary ω may weigh every
+// rank, so it needs the whole matrix. PT(h) and PRFω(h) weigh only the top
+// h ranks and skip the matrix (prefixFold).
 func (pc *PreparedChain) QueryPRF(ctx context.Context, omega func(t pdb.Tuple, rank int) float64) ([]float64, error) {
 	if omega == nil {
 		return nil, pdb.ErrNilOmega
@@ -308,21 +312,59 @@ func (pc *PreparedChain) QueryPRF(ctx context.Context, omega func(t pdb.Tuple, r
 	return out, nil
 }
 
-// QueryPRFOmega evaluates the PRFω(h) family over the cached chain rank
-// distribution.
+// QueryPRFOmega evaluates the PRFω(h) family, h = len(w), with the
+// partial-sum DP truncated to h coefficients. Bit-for-bit the fold of w
+// over the rank distribution.
 func (pc *PreparedChain) QueryPRFOmega(ctx context.Context, w []float64) ([]float64, error) {
 	if err := pdb.CheckWeights(w); err != nil {
 		return nil, err
 	}
-	return pc.QueryPRF(ctx, weightVecOmega(w))
+	return pc.prefixFold(ctx, w)
 }
 
-// QueryPTh evaluates Pr(r(t) ≤ h) over the cached chain rank distribution.
+// QueryPTh evaluates Pr(r(t) ≤ h) with the partial-sum DP truncated to h
+// coefficients: PRFω(h) with unit weights. Bit-for-bit the step-weight
+// fold over the rank distribution.
 func (pc *PreparedChain) QueryPTh(ctx context.Context, h int) ([]float64, error) {
 	if err := pdb.CheckDepth(h); err != nil {
 		return nil, err
 	}
-	return pc.QueryPRF(ctx, stepOmega(h))
+	w := make([]float64, min(h, pc.Len()))
+	for p := range w {
+		w[p] = 1
+	}
+	return pc.prefixFold(ctx, w)
+}
+
+// prefixFold computes Σ_{p<len(w)} w[p]·Pr(Y_t = 1 ∧ S_t = p) per tuple t,
+// S_t the number of present higher-ranked variables — the rank
+// distribution's first len(w) columns folded with w, in the same order and
+// with the same zero skip as QueryPRF, so the answers match bit for bit.
+// Walking the tuples in score order marks one more variable per step; each
+// tuple runs the DP truncated to min(len(w), n) coefficients, O(n²·h) in
+// all, and never builds or waits on the cached matrix.
+func (pc *PreparedChain) prefixFold(ctx context.Context, w []float64) ([]float64, error) {
+	n := pc.Len()
+	limit := min(len(w), n)
+	out := make([]float64, n)
+	sums := make([]float64, limit)
+	rows := newSumRows(limit)
+	marked := make([]bool, n)
+	for _, v := range pc.order {
+		if err := pdb.CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		if limit > 0 {
+			pc.partialSums(v, marked, sums, rows)
+			for p, q := range sums {
+				if q != 0 {
+					out[v] += w[p] * q
+				}
+			}
+		}
+		marked[v] = true
+	}
+	return out, nil
 }
 
 // QueryERank returns E[r(t)] per tuple with the Section 3.3 decomposition:
@@ -386,7 +428,12 @@ func (pc *PreparedChain) computeERank(ctx context.Context) ([]float64, error) {
 		c += pc.m[v][1]
 	}
 	out := make([]float64, n)
-	delta := make([]bool, n)
+	sums := make([]float64, n)
+	rows := newSumRows(n)
+	others := make([]bool, n)
+	for u := range others {
+		others[u] = true
+	}
 	for v := 0; v < n; v++ {
 		if err := pdb.CtxErr(ctx); err != nil {
 			return nil, err
@@ -395,10 +442,9 @@ func (pc *PreparedChain) computeERank(ctx context.Context) ([]float64, error) {
 		for j, p := range rd.Dist[v] {
 			er1 += float64(j+1) * p
 		}
-		for u := range delta {
-			delta[u] = u != v
-		}
-		sums := pc.c.partialSumDP(v, delta)
+		others[v] = false
+		pc.partialSums(v, others, sums, rows)
+		others[v] = true
 		var withT float64 // E[|pw|·δ(t∈pw)]
 		for p, q := range sums {
 			withT += float64(p+1) * q

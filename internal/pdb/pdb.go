@@ -60,18 +60,29 @@ var ErrEmptyDataset = errors.New("pdb: empty dataset")
 // 0..n-1 in input order. It returns an error if any probability lies outside
 // [0,1] or any value is NaN/Inf.
 func NewDataset(scores, probs []float64) (*Dataset, error) {
-	if len(scores) != len(probs) {
-		return nil, fmt.Errorf("pdb: %d scores but %d probabilities", len(scores), len(probs))
+	if err := ValidateArrays(scores, probs); err != nil {
+		return nil, err
 	}
 	tuples := make([]Tuple, len(scores))
 	for i := range scores {
 		tuples[i] = Tuple{ID: TupleID(i), Score: scores[i], Prob: probs[i]}
 	}
-	d := &Dataset{tuples: tuples}
-	if err := d.Validate(); err != nil {
-		return nil, err
+	return &Dataset{tuples: tuples}, nil
+}
+
+// ValidateArrays checks parallel score/probability arrays exactly as
+// NewDataset does — same rules, same error texts, tuple i being ID i —
+// without building the tuples.
+func ValidateArrays(scores, probs []float64) error {
+	if len(scores) != len(probs) {
+		return fmt.Errorf("pdb: %d scores but %d probabilities", len(scores), len(probs))
 	}
-	return d, nil
+	for i := range scores {
+		if err := checkTuple(TupleID(i), scores[i], probs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FromTuples builds a dataset from pre-constructed tuples, reassigning IDs
@@ -101,12 +112,19 @@ func MustDataset(scores, probs []float64) *Dataset {
 // Validate checks every tuple for a probability in [0,1] and finite score.
 func (d *Dataset) Validate() error {
 	for _, t := range d.tuples {
-		if math.IsNaN(t.Prob) || t.Prob < 0 || t.Prob > 1 {
-			return fmt.Errorf("pdb: tuple %d has invalid probability %v", t.ID, t.Prob)
+		if err := checkTuple(t.ID, t.Score, t.Prob); err != nil {
+			return err
 		}
-		if math.IsNaN(t.Score) || math.IsInf(t.Score, 0) {
-			return fmt.Errorf("pdb: tuple %d has invalid score %v", t.ID, t.Score)
-		}
+	}
+	return nil
+}
+
+func checkTuple(id TupleID, score, prob float64) error {
+	if math.IsNaN(prob) || prob < 0 || prob > 1 {
+		return fmt.Errorf("pdb: tuple %d has invalid probability %v", id, prob)
+	}
+	if math.IsNaN(score) || math.IsInf(score, 0) {
+		return fmt.Errorf("pdb: tuple %d has invalid score %v", id, score)
 	}
 	return nil
 }

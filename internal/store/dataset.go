@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"repro/internal/andxor"
@@ -78,7 +79,7 @@ func (ds *Dataset) validate() error {
 	}
 	switch ds.Kind {
 	case KindIndependent:
-		if _, err := core.FromSorted(ds.IDs, ds.Scores, ds.Probs); err != nil {
+		if err := core.CheckSorted(ds.IDs, ds.Scores, ds.Probs); err != nil {
 			return fmt.Errorf("%w: independent arrays: %w", ErrCorrupt, err)
 		}
 	case KindXRelation:
@@ -189,10 +190,13 @@ func Parse(kind string, r io.Reader) (*Dataset, error) {
 }
 
 // readCSV parses score,probability[,group] rows (an optional non-numeric
-// header row is skipped) and reports whether any row carried a group.
-func readCSV(r io.Reader) (scores, probs []float64, groups []string, grouped bool, err error) {
+// header row is skipped) and reports whether any row carried a group. The
+// group labels are collected only when labels is set; the independent
+// path needs just the flag.
+func readCSV(r io.Reader, labels bool) (scores, probs []float64, groups []string, grouped bool, err error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true // the field strings stay valid; only the slice is reused
 	line := 0
 	for {
 		rec, err := cr.Read()
@@ -224,6 +228,13 @@ func readCSV(r io.Reader) (scores, probs []float64, groups []string, grouped boo
 		if err != nil {
 			return nil, nil, nil, false, fmt.Errorf("store: line %d: bad probability %q", line, rec[1])
 		}
+		if len(scores) == cap(scores) {
+			// Double instead of append's ~1.25x growth at large sizes: the
+			// discarded copies then total about the final size, not about
+			// four times it.
+			scores = slices.Grow(scores, max(len(scores), 512))
+			probs = slices.Grow(probs, max(len(probs), 512))
+		}
 		scores = append(scores, s)
 		probs = append(probs, p)
 		g := ""
@@ -233,7 +244,9 @@ func readCSV(r io.Reader) (scores, probs []float64, groups []string, grouped boo
 		if g != "" {
 			grouped = true
 		}
-		groups = append(groups, g)
+		if labels {
+			groups = append(groups, g)
+		}
 	}
 	return scores, probs, groups, grouped, nil
 }
@@ -244,7 +257,7 @@ func readCSV(r io.Reader) (scores, probs []float64, groups []string, grouped boo
 // group column, if present, is an error — use ParseXRelationCSV for
 // x-relations.
 func ParseIndependentCSV(r io.Reader) (*Dataset, error) {
-	scores, probs, _, grouped, err := readCSV(r)
+	scores, probs, _, grouped, err := readCSV(r, false)
 	if err != nil {
 		return nil, err
 	}
@@ -254,11 +267,10 @@ func ParseIndependentCSV(r io.Reader) (*Dataset, error) {
 	if len(scores) == 0 {
 		return nil, errors.New("store: empty dataset")
 	}
-	d, err := pdb.NewDataset(scores, probs)
+	v, err := core.PrepareArrays(scores, probs)
 	if err != nil {
 		return nil, err
 	}
-	v := core.Prepare(d)
 	return &Dataset{Kind: KindIndependent, IDs: v.IDs(), Scores: v.Scores(), Probs: v.Probs()}, nil
 }
 
@@ -268,7 +280,7 @@ func ParseIndependentCSV(r io.Reader) (*Dataset, error) {
 // convention — see andxor.GroupRows). The stored arrays are the leaves
 // flattened group by group, which is exactly XTuples leaf-ID order.
 func ParseXRelationCSV(r io.Reader) (*Dataset, error) {
-	scores, probs, labels, _, err := readCSV(r)
+	scores, probs, labels, _, err := readCSV(r, true)
 	if err != nil {
 		return nil, err
 	}

@@ -245,51 +245,27 @@ func readSection(r io.ReaderAt, s section) ([]byte, error) {
 
 // Encode serializes a canonical Dataset into segment bytes at the current
 // format version. The dataset must satisfy the canonical invariants
-// (Dataset.validate); Import establishes them for parsed input.
+// (Dataset.validate); Import establishes them for parsed input. Every
+// section is written straight into the one output buffer.
 func Encode(ds *Dataset, generation uint64) ([]byte, error) {
 	if err := ds.validate(); err != nil {
 		return nil, err
 	}
 	n := ds.len()
 	order := kindSections[ds.Kind]
-	payloads := make([][]byte, len(order))
-	for i, id := range order {
-		switch id {
-		case secIDs:
-			b := make([]byte, 4*n)
-			for j, v := range ds.IDs {
-				binary.LittleEndian.PutUint32(b[4*j:], uint32(v))
-			}
-			payloads[i] = b
-		case secScores:
-			payloads[i] = encodeFloats(ds.Scores)
-		case secProbs:
-			payloads[i] = encodeFloats(ds.Probs)
-		case secGroups:
-			b := make([]byte, 4*n)
-			for j, v := range ds.Groups {
-				binary.LittleEndian.PutUint32(b[4*j:], v)
-			}
-			payloads[i] = b
-		case secTree:
-			payloads[i] = encodeTree(ds.Tree)
-		case secPairs:
-			b := make([]byte, 32*(n-1))
-			for j, p := range ds.Pairs {
-				binary.LittleEndian.PutUint64(b[32*j:], math.Float64bits(p[0][0]))
-				binary.LittleEndian.PutUint64(b[32*j+8:], math.Float64bits(p[0][1]))
-				binary.LittleEndian.PutUint64(b[32*j+16:], math.Float64bits(p[1][0]))
-				binary.LittleEndian.PutUint64(b[32*j+24:], math.Float64bits(p[1][1]))
-			}
-			payloads[i] = b
-		}
-	}
-
-	tableLen := len(order)*secDescLen + 4
-	dataOff := fixedHdrLen + tableLen
+	var tree []byte // the one variable-length section, sized by encoding it
+	lens := make([]int, len(order))
+	dataOff := fixedHdrLen + len(order)*secDescLen + 4
 	total := dataOff
-	for _, p := range payloads {
-		total += len(p)
+	for i, id := range order {
+		if id == secTree {
+			tree = encodeTree(ds.Tree)
+			lens[i] = len(tree)
+		} else {
+			l, _ := expectedLen(id, uint64(n))
+			lens[i] = int(l)
+		}
+		total += lens[i]
 	}
 	out := make([]byte, total)
 	copy(out, magicStr)
@@ -299,27 +275,48 @@ func Encode(ds *Dataset, generation uint64) ([]byte, error) {
 	binary.LittleEndian.PutUint64(out[24:], generation)
 	binary.LittleEndian.PutUint32(out[32:], uint32(len(order)))
 	binary.LittleEndian.PutUint32(out[36:], crc32.ChecksumIEEE(out[:36]))
-	off := uint64(dataOff)
+	off := dataOff
 	for i, id := range order {
+		b := out[off : off+lens[i]]
+		switch id {
+		case secIDs:
+			for j, v := range ds.IDs {
+				binary.LittleEndian.PutUint32(b[4*j:], uint32(v))
+			}
+		case secScores:
+			encodeFloats(b, ds.Scores)
+		case secProbs:
+			encodeFloats(b, ds.Probs)
+		case secGroups:
+			for j, v := range ds.Groups {
+				binary.LittleEndian.PutUint32(b[4*j:], v)
+			}
+		case secTree:
+			copy(b, tree)
+		case secPairs:
+			for j, p := range ds.Pairs {
+				binary.LittleEndian.PutUint64(b[32*j:], math.Float64bits(p[0][0]))
+				binary.LittleEndian.PutUint64(b[32*j+8:], math.Float64bits(p[0][1]))
+				binary.LittleEndian.PutUint64(b[32*j+16:], math.Float64bits(p[1][0]))
+				binary.LittleEndian.PutUint64(b[32*j+24:], math.Float64bits(p[1][1]))
+			}
+		}
 		d := out[fixedHdrLen+i*secDescLen:]
 		binary.LittleEndian.PutUint32(d[0:], id)
-		binary.LittleEndian.PutUint32(d[4:], crc32.ChecksumIEEE(payloads[i]))
-		binary.LittleEndian.PutUint64(d[8:], off)
-		binary.LittleEndian.PutUint64(d[16:], uint64(len(payloads[i])))
-		copy(out[off:], payloads[i])
-		off += uint64(len(payloads[i]))
+		binary.LittleEndian.PutUint32(d[4:], crc32.ChecksumIEEE(b))
+		binary.LittleEndian.PutUint64(d[8:], uint64(off))
+		binary.LittleEndian.PutUint64(d[16:], uint64(len(b)))
+		off += len(b)
 	}
 	tbl := out[fixedHdrLen : fixedHdrLen+len(order)*secDescLen]
 	binary.LittleEndian.PutUint32(out[fixedHdrLen+len(order)*secDescLen:], crc32.ChecksumIEEE(tbl))
 	return out, nil
 }
 
-func encodeFloats(fs []float64) []byte {
-	b := make([]byte, 8*len(fs))
+func encodeFloats(b []byte, fs []float64) {
 	for i, f := range fs {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
 	}
-	return b
 }
 
 func decodeFloats(b []byte) []float64 {

@@ -12,10 +12,10 @@
 # typically the parent commit's — every arm both reports share is also
 # recorded as a before/after pair under "baseline".
 # Usage: scripts/bench.sh [OUT.json] [BASELINE.json]
-#        (default OUT: BENCH_15.json in the repo root)
+#        (default OUT: BENCH_17.json in the repo root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_15.json}"
+out="${1:-BENCH_17.json}"
 if [ -n "${2:-}" ]; then
   go run ./cmd/bench -out "$out" -baseline "$2"
 else

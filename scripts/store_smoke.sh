@@ -6,8 +6,9 @@
 # directly — the whole encode → persist → reopen → lazy-materialize path
 # must be invisible in the responses. Then exercises the admin endpoints:
 # auth gates, POST replacement (generation bump + per-generation cache
-# counter reset + new answers), DELETE (typed 404 afterwards), and a final
-# offline `prfstore verify` over everything the server wrote.
+# counter reset + new answers), a POST re-import of a CRLF, fully quoted
+# CSV (it must answer as the LF original), DELETE (typed 404 afterwards),
+# and a final offline `prfstore verify` over everything the server wrote.
 #
 # Usage: scripts/store_smoke.sh
 # Runs in CI (store-smoke job) and locally; needs only go, curl and jq.
@@ -40,10 +41,24 @@ score,probability,group
 110,0.6,s3
 105,1.0,
 EOF
+# The same x-relation as a spreadsheet export would write it: CRLF line
+# endings and every field quoted.
+awk '{ n = split($0, f, ","); line = ""; for (i = 1; i <= n; i++) line = line (i > 1 ? "," : "") "\"" f[i] "\""; printf "%s\r\n", line }' \
+  "$tmp/sensors.csv" > "$tmp/sensors-crlf.csv"
+# A six-variable Markov chain with tied scores and a zero conditional.
+cat > "$tmp/chain.json" <<'EOF'
+{"scores": [30, 20, 10, 25, 20, 5],
+ "pairs": [[[0.30, 0.20], [0.10, 0.40]],
+           [[0.28, 0.12], [0.42, 0.18]],
+           [[0.35, 0.35], [0.05, 0.25]],
+           [[0.10, 0.30], [0.20, 0.40]],
+           [[0.30, 0.00], [0.20, 0.50]]]}
+EOF
 
 echo "== import segments offline"
 "$tmp/prfstore" -store "$tmp/segs" import iip ind "$tmp/iip.csv"
 "$tmp/prfstore" -store "$tmp/segs" import sensors xrel "$tmp/sensors.csv"
+"$tmp/prfstore" -store "$tmp/segs" import chain chain "$tmp/chain.json"
 "$tmp/prfstore" -store "$tmp/segs" verify
 "$tmp/prfstore" -store "$tmp/segs" list
 
@@ -81,6 +96,10 @@ check "ind prfe values"  '{"dataset": "iip", "query": {"metric": "prfe", "alpha"
 check "ind prfe top-k"   '{"dataset": "iip", "query": {"metric": "prfe", "alpha": 0.95, "output": "topk", "k": 10}}' -data "iip=ind:$tmp/iip.csv"
 check "ind exp-rank"     '{"dataset": "iip", "query": {"metric": "erank", "output": "ranking"}}' -data "iip=ind:$tmp/iip.csv"
 check "xrel prfe top-k"  '{"dataset": "sensors", "query": {"metric": "prfe", "alpha": 0.9, "output": "topk", "k": 3}}' -data "sensors=xrel:$tmp/sensors.csv"
+check "chain pt(h)"      '{"dataset": "chain", "query": {"metric": "pth", "h": 2}}' -data "chain=chain:$tmp/chain.json"
+check "chain pt(h) h>n"  '{"dataset": "chain", "query": {"metric": "pth", "h": 9, "output": "ranking"}}' -data "chain=chain:$tmp/chain.json"
+check "chain prfomega"   '{"dataset": "chain", "query": {"metric": "prfomega", "weights": [1, 0.5, 0.25]}}' -data "chain=chain:$tmp/chain.json"
+check "chain median-rank" '{"dataset": "chain", "query": {"metric": "medianrank", "output": "ranking"}}' -data "chain=chain:$tmp/chain.json"
 
 echo "== admin auth gates"
 expect_status() {
@@ -121,6 +140,12 @@ check "replacement answers"  '{"dataset": "iip", "query": {"metric": "prfe", "al
 curl -sf "${auth[@]}" "http://$addr/datasets/iip/info" | jq -e '.generation == 2 and .tuples == 400' > /dev/null || {
   echo "FAIL: /datasets/iip/info does not reflect the swap" >&2; exit 1; }
 echo "   ok: info endpoint reflects the swap"
+
+echo "== POST re-import of a CRLF, fully quoted CSV"
+curl -sf "${auth[@]}" -X POST "http://$addr/datasets/sensors?kind=xrel" --data-binary @"$tmp/sensors-crlf.csv" \
+  | jq -e '.generation == 2 and .tuples == 6' > /dev/null || {
+  echo "FAIL: CRLF re-import of sensors was not generation 2 with 6 tuples" >&2; exit 1; }
+check "crlf re-import answers as the LF original" '{"dataset": "sensors", "query": {"metric": "prfe", "alpha": 0.9, "output": "topk", "k": 3}}' -data "sensors=xrel:$tmp/sensors.csv"
 
 echo "== DELETE: typed 404 afterwards"
 curl -sf "${auth[@]}" -X DELETE "http://$addr/datasets/sensors" > /dev/null
