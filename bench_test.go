@@ -29,7 +29,7 @@ func BenchmarkTable1RankingFunctions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = prf.TopK(prf.EScore(d), k)
-		_ = prf.TopK(prf.PTh(d, k), k)
+		_ = prf.TopK(rankQ(b, prf.EngineFor(d), prf.Query{Metric: prf.MetricPTh, H: k}).Values, k)
 		_, _ = prf.URank(d, k)
 		_ = prf.ERankRanking(prf.ERank(d)).TopK(k)
 		_, _, _ = prf.UTopK(d, k)
@@ -81,11 +81,11 @@ func BenchmarkFigure6PRFeCurves(b *testing.B) {
 func BenchmarkFigure7PRFeSpectrum(b *testing.B) {
 	d := datagen.IIPLike(5000, 2)
 	d.SortByScore()
-	ref := prf.TopK(prf.PTh(d, 100), 100)
+	ref := prf.TopK(rankQ(b, prf.EngineFor(d), prf.Query{Metric: prf.MetricPTh, H: 100}).Values, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, alpha := range []float64{0.5, 0.9, 0.99, 0.999, 0.9999} {
-			r := prf.RankPRFe(d, alpha)
+			r := prfeRanking(b, prf.EngineFor(d), alpha)
 			_ = prf.KendallTopK(r.TopK(100), ref, 100)
 		}
 	}
@@ -100,7 +100,7 @@ func BenchmarkFigure8ApproxPTh(b *testing.B) {
 		prf.ApproximateWeights(prf.StepWeights(1000), 1000, prf.DefaultApproxOptions(20)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		combo := prf.PRFeCombo(d, terms)
+		combo := rankQ(b, prf.EngineFor(d), prf.Query{Metric: prf.MetricPRFeCombo, Terms: terms}).Complex
 		_ = prf.RankByValue(prf.RealParts(combo))
 	}
 }
@@ -109,7 +109,7 @@ func BenchmarkFigure8ApproxPTh(b *testing.B) {
 
 func BenchmarkFigure9Learning(b *testing.B) {
 	d := datagen.IIPLike(500, 4)
-	user := prf.RankPRFe(d, 0.95)
+	user := prfeRanking(b, prf.EngineFor(d), 0.95)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = prf.LearnAlpha(d, user, 100, 8)
@@ -127,8 +127,8 @@ func BenchmarkFigure10Correlations(b *testing.B) {
 	indep.SortByScore()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		aware := prf.TreeRankPRFe(tree, 0.9)
-		naive := prf.RankPRFe(indep, 0.9)
+		aware := prfeRanking(b, prf.EngineForTree(tree), 0.9)
+		naive := prfeRanking(b, prf.EngineFor(indep), 0.9)
 		_ = prf.KendallTopK(aware.TopK(100), naive.TopK(100), 100)
 	}
 }
@@ -149,7 +149,7 @@ func BenchmarkFigure11PTh100k(b *testing.B) {
 	d.SortByScore()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = prf.PTh(d, 100)
+		_ = rankQ(b, prf.EngineFor(d), prf.Query{Metric: prf.MetricPTh, H: 100})
 	}
 }
 
@@ -178,7 +178,7 @@ func BenchmarkFigure11TreePRFe20k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = prf.TreePRFe(tree, complex(0.95, 0))
+		_ = rankQ(b, prf.EngineForTree(tree), prf.Query{Metric: prf.MetricPRFe, Alpha: 0.95})
 	}
 }
 
@@ -189,7 +189,7 @@ func BenchmarkFigure11TreePTh(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = prf.TreePTh(tree, 100)
+		_ = rankQ(b, prf.EngineForTree(tree), prf.Query{Metric: prf.MetricPTh, H: 100})
 	}
 }
 
@@ -202,7 +202,7 @@ func BenchmarkTable3IncrementalTreePRFe(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = prf.TreePRFe(tree, complex(0.9, 0))
+		_ = rankQ(b, prf.EngineForTree(tree), prf.Query{Metric: prf.MetricPRFe, Alpha: 0.9})
 	}
 }
 
@@ -332,7 +332,7 @@ func BenchmarkPRFeDirect100k(b *testing.B) {
 	d.SortByScore()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = prf.PRFe(d, complex(0.5, 0))
+		_ = rankQ(b, prf.EngineFor(d), prf.Query{Metric: prf.MetricPRFe, Alpha: 0.5})
 	}
 }
 
@@ -453,7 +453,7 @@ func BenchmarkPRFeComboFused(b *testing.B) {
 // BenchmarkParallelSpectrum isolates the ranked-sweep strategies over one
 // shared prepared view, 32-point sweep: serial re-sort per α, per-α
 // parallel fan-out, and the kinetic sweep (sort once, advance by
-// Theorem 4 crossings — what RankPRFeBatch picks for a monotone grid).
+// Theorem 4 crossings — what QueryRankPRFeBatch picks for a monotone grid).
 func BenchmarkParallelSpectrum(b *testing.B) {
 	d := benchwork.Dataset(10000)
 	v := prf.Prepare(d)
@@ -466,8 +466,13 @@ func BenchmarkParallelSpectrum(b *testing.B) {
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
+		// Descending, so the dispatcher takes the per-α parallel arm.
+		desc := make([]float64, len(alphas))
+		for i, a := range alphas {
+			desc[len(alphas)-1-i] = a
+		}
 		for i := 0; i < b.N; i++ {
-			_ = v.RankPRFeBatchParallel(alphas)
+			_, _ = v.QueryRankPRFeBatch(context.Background(), desc)
 		}
 	})
 	b.Run("kinetic", func(b *testing.B) {

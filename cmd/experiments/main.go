@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -47,10 +48,11 @@ func main() {
 		}
 		toRun = []experiments.Experiment{e}
 	}
+	ctx := context.Background()
 	for _, e := range toRun {
 		start := time.Now()
 		fmt.Printf("\n######## %s — %s\n", e.ID, e.Paper)
-		if err := e.Run(cfg); err != nil {
+		if err := e.Run(ctx, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}

@@ -1,14 +1,13 @@
-// Command prflint runs the repository's invariant analyzers. It speaks
-// two protocols:
+// Command prflint runs the repository's invariant analyzers through the
+// vet unit protocol:
 //
-//	go vet -vettool=$(which prflint) ./...   # the vet unit protocol
-//	prflint ./...                            # standalone, via go list
+//	go vet -vettool=$(which prflint) ./...
 //
-// Under go vet, cmd/go first queries `prflint -flags` (supported analyzer
-// flags, none here) and `prflint -V=full` (a content hash, so editing
-// prflint invalidates vet's result cache), then invokes prflint once per
-// package with a vet.cfg file. Standalone, prflint loads packages itself
-// and prints the same findings.
+// cmd/go first queries `prflint -flags` (supported analyzer flags, none
+// here) and `prflint -V=full` (a content hash, so editing prflint
+// invalidates vet's result cache), then invokes prflint once per package
+// with a vet.cfg file. scripts/lint.sh builds prflint and runs it this way
+// over the whole module.
 package main
 
 import (
@@ -19,7 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/golist"
 	"repro/internal/lint/unit"
 )
 
@@ -38,7 +36,8 @@ func main() {
 	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
 		unit.Main(args[n-1], lint.Analyzers()) // exits
 	}
-	os.Exit(golist.Main(args, lint.Analyzers()))
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which prflint) [packages]")
+	os.Exit(2)
 }
 
 // printVersion emits the -V=full line cmd/go hashes into its build cache

@@ -9,13 +9,18 @@ import (
 
 // The paper's Example 7: four tuples trading score against probability;
 // PRFe(α) spans the spectrum between the two extreme orders.
-func ExampleRankPRFe() {
+func ExampleEngine_prfeSpectrum() {
 	d, _ := prf.NewDataset(
 		[]float64{100, 80, 50, 30},
 		[]float64{0.4, 0.6, 0.5, 0.9},
 	)
-	fmt.Println(prf.RankPRFe(d, 0.5)) // balanced
-	fmt.Println(prf.RankPRFe(d, 1.0)) // by probability
+	eng := prf.EngineFor(d)
+	for _, alpha := range []float64{0.5, 1.0} { // balanced, then by probability
+		res, _ := eng.Rank(context.Background(), prf.Query{
+			Metric: prf.MetricPRFe, Alpha: alpha, Output: prf.OutputRanking,
+		})
+		fmt.Println(res.Ranking)
+	}
 	// Output:
 	// [1 0 3 2]
 	// [3 1 2 0]
@@ -32,10 +37,10 @@ func ExampleRankDistribution() {
 }
 
 // PRFe evaluates the generating function at the point α (Example 5).
-func ExamplePRFe() {
+func ExampleEngine_prfeValues() {
 	d, _ := prf.NewDataset([]float64{30, 20, 10}, []float64{0.5, 0.6, 0.4})
-	vals := prf.PRFe(d, complex(0.6, 0))
-	fmt.Printf("%.5f\n", real(vals[2]))
+	res, _ := prf.EngineFor(d).Rank(context.Background(), prf.Query{Metric: prf.MetricPRFe, Alpha: 0.6})
+	fmt.Printf("%.5f\n", real(res.Complex[2]))
 	// Output:
 	// 0.14592
 }
@@ -85,8 +90,10 @@ func ExampleLearnAlpha() {
 		probs[i] = float64((i*37)%97)/100 + 0.01
 	}
 	d, _ := prf.NewDataset(scores, probs)
-	user := prf.RankPRFe(d, 0.8)
-	res := prf.LearnAlpha(d, user, 50, 8)
+	user, _ := prf.EngineFor(d).Rank(context.Background(), prf.Query{
+		Metric: prf.MetricPRFe, Alpha: 0.8, Output: prf.OutputRanking,
+	})
+	res := prf.LearnAlpha(d, user.Ranking, 50, 8)
 	fmt.Printf("distance %.4f\n", res.Distance)
 	// Output:
 	// distance 0.0000

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,16 +37,20 @@ func main() {
 	rd := prf.TreeRankDistribution(tree)
 	fmt.Printf("Pr(r(t4)=3) = %.3f   (the paper computes 0.216)\n\n", rd.At(3, 3))
 
-	// Correlation-aware ranking vs pretending the tuples are independent.
-	aware := prf.TreeRankPRFe(tree, 0.9)
-	indep := prf.RankPRFe(tree.Dataset(), 0.9)
+	// Correlation-aware ranking vs pretending the tuples are independent:
+	// the same query on the tree's engine and on an engine over the bare
+	// marginals.
+	treeEng := prf.EngineForTree(tree)
+	prfe := prf.Query{Metric: prf.MetricPRFe, Alpha: 0.9, Output: prf.OutputRanking}
+	aware := rank(treeEng, prfe).Ranking
+	indep := rank(prf.EngineFor(tree.Dataset()), prfe).Ranking
 	fmt.Println("PRFe(0.9) with correlations:   ", label(aware, names))
 	fmt.Println("PRFe(0.9) assuming independence:", label(indep, names))
 	fmt.Printf("Kendall distance between the two: %.4f\n\n",
 		prf.KendallTopK(aware.TopK(3), indep.TopK(3), 3))
 
 	// Which cars are most likely among the top 2 speeders?
-	pt := prf.TreePTh(tree, 2)
+	pt := rank(treeEng, prf.Query{Metric: prf.MetricPTh, H: 2}).Values
 	fmt.Println("PT(2) = Pr(among top 2):")
 	for _, id := range prf.TopK(pt, 3) {
 		fmt.Printf("  %-18s %.3f\n", names[id], pt[id])
@@ -79,6 +84,15 @@ func main() {
 	for g, v := range vals {
 		fmt.Printf("  car %c: %.4f\n", 'A'+g, real(v))
 	}
+}
+
+// rank answers one query, exiting on error.
+func rank(e *prf.Engine, q prf.Query) *prf.Result {
+	res, err := e.Rank(context.Background(), q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }
 
 func label(r prf.Ranking, names []string) []string {

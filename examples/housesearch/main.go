@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -65,9 +66,10 @@ func main() {
 	}
 
 	// Three users, three risk attitudes, one parameter.
-	show("risk-seeking shopper (PRFe α=0.3): best houses, maybe gone", prf.RankPRFe(d, 0.3))
-	show("\nbalanced shopper (PRFe α=0.9):", prf.RankPRFe(d, 0.9))
-	show("\ncautious shopper (PRFe α=0.999): must still be available", prf.RankPRFe(d, 0.999))
+	market := prf.EngineFor(d)
+	show("risk-seeking shopper (PRFe α=0.3): best houses, maybe gone", rankPRFe(market, 0.3))
+	show("\nbalanced shopper (PRFe α=0.9):", rankPRFe(market, 0.9))
+	show("\ncautious shopper (PRFe α=0.999): must still be available", rankPRFe(market, 0.999))
 	show("\nexpected-score ranking for contrast:", prf.TopK(prf.EScore(d), 5))
 
 	// Learning from feedback (Section 5.2): the user reorders a sample of
@@ -75,18 +77,38 @@ func main() {
 	sample, _ := d.Subset(rng.Perm(d.Len())[:20])
 	// Suppose the user's implicit preference is PT(5): "show me things
 	// likely to be among the 5 best available".
-	userRanking := prf.RankByValue(prf.PTh(sample, 5))
+	userRanking := prf.RankByValue(pth(prf.EngineFor(sample), 5))
 	res := prf.LearnAlpha(sample, userRanking, 10, 8)
 	fmt.Printf("\nlearned α=%.4f from a 20-listing sample (sample Kendall distance %.4f)\n",
 		res.Alpha, res.Distance)
-	show("personalized ranking with the learned α:", prf.RankPRFe(d, res.Alpha))
+	learned := rankPRFe(market, res.Alpha)
+	show("personalized ranking with the learned α:", learned)
 
 	// How close is the personalized ranking to the user's true preference
 	// on the whole market?
-	truth := prf.RankByValue(prf.PTh(d, 5))
-	learned := prf.RankPRFe(d, res.Alpha)
+	truth := prf.RankByValue(pth(market, 5))
 	fmt.Printf("\nfull-market Kendall distance to the user's true preference: %.4f\n",
 		prf.KendallTopK(truth.TopK(10), learned.TopK(10), 10))
+}
+
+// rankPRFe returns the full PRFe(α) ranking, exiting on error.
+func rankPRFe(e *prf.Engine, alpha float64) prf.Ranking {
+	res, err := e.Rank(context.Background(), prf.Query{
+		Metric: prf.MetricPRFe, Alpha: alpha, Output: prf.OutputRanking,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Ranking
+}
+
+// pth returns the PT(h) values per listing, exiting on error.
+func pth(e *prf.Engine, h int) []float64 {
+	res, err := e.Rank(context.Background(), prf.Query{Metric: prf.MetricPTh, H: h})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Values
 }
 
 func clamp(x, lo, hi float64) float64 {

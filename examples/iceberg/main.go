@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,10 +42,16 @@ func main() {
 		log.Fatal(err)
 	}
 	d.SortByScore()
+	ctx := context.Background()
+	eng := prf.EngineFor(d)
 
 	// Fast path: PRFe in one scan.
 	start := time.Now()
-	prfe := prf.RankPRFe(d, 0.95)
+	res, err := eng.Rank(ctx, prf.Query{Metric: prf.MetricPRFe, Alpha: 0.95, Output: prf.OutputRanking})
+	if err != nil {
+		log.Fatal(err)
+	}
+	prfe := res.Ranking
 	fmt.Printf("PRFe(0.95) ranked %d sightings in %v\n", n, time.Since(start))
 	fmt.Println("top 5 sightings (drift days, confidence):")
 	for i, id := range prfe.TopK(5) {
@@ -56,8 +63,11 @@ func main() {
 	// longest-drifting icebergs still out there".
 	const h = 1000
 	start = time.Now()
-	exactVals := prf.PTh(d, h)
-	exact := prf.RankByValue(exactVals)
+	res, err = eng.Rank(ctx, prf.Query{Metric: prf.MetricPTh, H: h, Output: prf.OutputRanking})
+	if err != nil {
+		log.Fatal(err)
+	}
+	exact := res.Ranking
 	exactTime := time.Since(start)
 	fmt.Printf("\nexact PT(%d): %v\n", h, exactTime)
 
@@ -65,8 +75,13 @@ func main() {
 	// evaluate as 20 linear PRFe scans.
 	start = time.Now()
 	terms := prf.ApproximateWeights(prf.StepWeights(h), h, prf.DefaultApproxOptions(20))
-	combo := prf.PRFeCombo(d, prf.ApproxPRFeTerms(terms))
-	approx := prf.RankByValue(prf.RealParts(combo))
+	res, err = eng.Rank(ctx, prf.Query{
+		Metric: prf.MetricPRFeCombo, Terms: prf.ApproxPRFeTerms(terms), Output: prf.OutputRanking,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	approx := res.Ranking
 	approxTime := time.Since(start)
 	fmt.Printf("20-term PRFe approximation: %v (%.1fx faster)\n",
 		approxTime, exactTime.Seconds()/approxTime.Seconds())

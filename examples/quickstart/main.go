@@ -61,7 +61,11 @@ func main() {
 	// Prior semantics for comparison.
 	fmt.Println("\nother ranking functions:")
 	fmt.Printf("  E-Score ranking:   %v\n", names(prf.TopK(prf.EScore(d), 4)))
-	fmt.Printf("  PT(2) ranking:     %v\n", names(prf.TopK(prf.PTh(d, 2), 4)))
+	pt2, err := eng.Rank(ctx, prf.Query{Metric: prf.MetricPTh, H: 2, Output: prf.OutputTopK, K: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  PT(2) ranking:     %v\n", names(pt2.Ranking))
 	fmt.Printf("  E-Rank ranking:    %v\n", names(prf.ERankRanking(prf.ERank(d))))
 	uTop, p, err := prf.UTopK(d, 2)
 	if err != nil {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,7 +78,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	indep := prf.RankPRFe(indepD, 0.9)
+	res, err := prf.EngineFor(indepD).Rank(context.Background(), prf.Query{
+		Metric: prf.MetricPRFe, Alpha: 0.9, Output: prf.OutputRanking,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	indep := res.Ranking
 	fmt.Printf("\nPRFe(0.9) with correlations:    %v\n", corr.TopK(6))
 	fmt.Printf("PRFe(0.9) assuming independence: %v\n", indep.TopK(6))
 	fmt.Printf("Kendall distance: %.4f\n", prf.KendallTopK(corr.TopK(6), indep.TopK(6), 6))
@@ -107,10 +114,14 @@ func main() {
 
 	// The prepared chain answers a whole α sweep with the product-tree
 	// algorithm (O(n log n) per α instead of the cubic DP).
-	pc := prf.PrepareChain(chain)
-	sweep := pc.RankPRFeBatch([]float64{0.5, 0.9, 1.0})
+	sweep, err := prf.EngineForChain(chain).RankBatch(context.Background(), prf.Query{
+		Metric: prf.MetricPRFe, Alphas: []float64{0.5, 0.9, 1.0}, Output: prf.OutputRanking,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nchain PRFe sweep (α = 0.5, 0.9, 1.0), best first:")
-	for i, a := range []float64{0.5, 0.9, 1.0} {
-		fmt.Printf("  α=%.1f: %v\n", a, sweep[i])
+	for _, r := range sweep {
+		fmt.Printf("  α=%.1f: %v\n", r.Alpha, r.Ranking)
 	}
 }

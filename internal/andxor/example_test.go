@@ -1,6 +1,7 @@
 package andxor_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/andxor"
@@ -21,9 +22,12 @@ func ExamplePrepareTree() {
 	for _, alpha := range []float64{0.1, 0.9} {
 		fmt.Println(alpha, pt.RankPRFe(alpha).TopK(3))
 	}
-	// The batch API answers a grid in one call (identical results, shared
+	// The batch query answers a grid in one call (identical results, shared
 	// evaluation state, parallel across α).
-	sweep := pt.RankPRFeBatch([]float64{0.1, 0.9})
+	sweep, err := pt.QueryRankPRFeBatch(context.Background(), []float64{0.1, 0.9})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(sweep[0].TopK(3), sweep[1].TopK(3))
 	// Output:
 	// 0.1 [1 0 4]

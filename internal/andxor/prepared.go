@@ -20,8 +20,9 @@ import (
 //
 // A PreparedTree is safe for concurrent use: the cached order is read-only
 // and every query checks a private evaluation state out of an internal pool,
-// so the parallel batch methods (PRFeBatch, RankPRFeBatch, TopKPRFeBatch)
-// can fan α values across GOMAXPROCS goroutines over the shared view.
+// so the batch queries (QueryPRFeBatch, QueryRankPRFeBatch,
+// QueryTopKPRFeBatch, QueryPRFeCombo) can fan α values across GOMAXPROCS
+// goroutines over the shared view.
 type PreparedTree struct {
 	t     *Tree
 	order []pdb.TupleID // leaves by non-increasing score, ties by ID
@@ -30,8 +31,8 @@ type PreparedTree struct {
 }
 
 // PrepareTree builds the prepared view of a tree. The tree is never mutated;
-// the one-shot package functions (PRFeValues, PRFeCombo, RankPRFe,
-// ExpectedRanks) are thin prepare-then-call wrappers over the same methods.
+// the one-shot package functions (PRFeValues, RankPRFe, ExpectedRanks) are
+// thin prepare-then-call wrappers over the same methods.
 func PrepareTree(t *Tree) *PreparedTree {
 	pt := &PreparedTree{t: t, order: t.sortedLeafOrder()}
 	for id := 0; id < t.Len(); id++ {
@@ -91,18 +92,11 @@ func (pt *PreparedTree) PRFe(alpha complex128) []complex128 {
 	return out
 }
 
-// PRFeBatch evaluates PRFe for every α of a batch, fanning the grid across
-// GOMAXPROCS goroutines; each worker drains its share of the grid with one
-// pooled evaluation state. out[a] equals PRFe(alphas[a]) bit-for-bit.
-func (pt *PreparedTree) PRFeBatch(alphas []complex128) [][]complex128 {
-	//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses prfeBatchCtx with the caller's ctx
-	out, err := pt.prfeBatchCtx(context.Background(), alphas)
-	pdb.MustNoErr(err) // Background never cancels
-	return out
-}
-
-// prfeBatchCtx is PRFeBatch with cooperative cancellation between grid
-// points — the engine's QueryPRFeBatch arm.
+// prfeBatchCtx evaluates PRFe for every α of a batch, fanning the grid
+// across GOMAXPROCS goroutines; each worker drains its share of the grid
+// with one pooled evaluation state, and cancellation is honored between
+// grid points. out[a] equals PRFe(alphas[a]) bit-for-bit. It is the body of
+// QueryPRFeBatch and QueryPRFeCombo.
 func (pt *PreparedTree) prfeBatchCtx(ctx context.Context, alphas []complex128) ([][]complex128, error) {
 	out := make([][]complex128, len(alphas))
 	if pt.Len() == 0 {
@@ -133,50 +127,15 @@ func (pt *PreparedTree) prfeBatchCtx(ctx context.Context, alphas []complex128) (
 	return out, nil
 }
 
-// PRFeCombo evaluates a linear combination Σ_l u_l·Υ_{α_l} on the tree — the
-// correlated-data backend of the Section 5.1 approximation. The per-term
-// passes run in parallel over pooled states and the terms are summed in term
-// order, so the result is bit-for-bit the one-shot PRFeCombo answer while
-// the sort and the evaluation buffers are paid once for all L terms.
-func (pt *PreparedTree) PRFeCombo(us, alphas []complex128) []complex128 {
-	out := make([]complex128, pt.Len())
-	vals := pt.PRFeBatch(alphas[:len(us)])
-	for l := range us {
-		for i, v := range vals[l] {
-			out[i] += us[l] * v
-		}
-	}
-	return out
-}
-
 // RankPRFe returns the PRFe(α) ranking of the tree's leaves for real α,
 // ranking by |Υ| as the paper's top-k definition prescribes.
 func (pt *PreparedTree) RankPRFe(alpha float64) pdb.Ranking {
 	return pdb.RankByAbs(pt.PRFe(complex(alpha, 0)))
 }
 
-// RankPRFeBatch computes the full PRFe(α) ranking for every α of a batch in
-// parallel. out[a] equals RankPRFe(alphas[a]) bit-for-bit.
-func (pt *PreparedTree) RankPRFeBatch(alphas []float64) []pdb.Ranking {
-	out := make([]pdb.Ranking, len(alphas))
-	//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses rankBatch with the caller's ctx
-	pdb.MustNoErr(pt.rankBatch(context.Background(), alphas, func(a int, r pdb.Ranking) { out[a] = r }))
-	return out
-}
-
-// TopKPRFeBatch answers many PRFe top-k queries against the shared view —
-// the correlated arm of the learning loops. out[a] equals
-// RankPRFe(alphas[a]).TopK(k).
-func (pt *PreparedTree) TopKPRFeBatch(alphas []float64, k int) []pdb.Ranking {
-	out := make([]pdb.Ranking, len(alphas))
-	//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses rankBatch with the caller's ctx
-	pdb.MustNoErr(pt.rankBatch(context.Background(), alphas, func(a int, r pdb.Ranking) { out[a] = r.TopK(k) }))
-	return out
-}
-
-// rankBatch runs the parallel per-α ranking loop behind RankPRFeBatch and
-// TopKPRFeBatch, reusing one evaluation state and one value buffer per
-// worker across the whole grid. Cancellation is honored between grid
+// rankBatch runs the parallel per-α ranking loop behind QueryRankPRFeBatch
+// and QueryTopKPRFeBatch, reusing one evaluation state and one value buffer
+// per worker across the whole grid. Cancellation is honored between grid
 // points.
 func (pt *PreparedTree) rankBatch(ctx context.Context, alphas []float64, emit func(a int, r pdb.Ranking)) error {
 	n := pt.Len()

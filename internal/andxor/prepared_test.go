@@ -1,6 +1,7 @@
 package andxor
 
 import (
+	"context"
 	"math/cmplx"
 	"math/rand"
 	"runtime"
@@ -112,7 +113,10 @@ func TestPreparedPRFeBatchMatchesSerial(t *testing.T) {
 	withWorkers(t, 4)
 	forEachSuiteTree(t, func(name string, tree *Tree) {
 		pt := PrepareTree(tree)
-		batch := pt.PRFeBatch(preparedGrid)
+		batch, err := pt.QueryPRFeBatch(context.Background(), preparedGrid)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for a, alpha := range preparedGrid {
 			want := pt.PRFe(alpha)
 			for id := range want {
@@ -130,9 +134,15 @@ func TestPreparedRankBatchesMatchSerial(t *testing.T) {
 	alphas := []float64{1e-9, 0.25, 0.5, 0.75, 0.95, 1}
 	forEachSuiteTree(t, func(name string, tree *Tree) {
 		pt := PrepareTree(tree)
-		ranks := pt.RankPRFeBatch(alphas)
+		ranks, err := pt.QueryRankPRFeBatch(context.Background(), alphas)
+		if err != nil {
+			t.Fatal(err)
+		}
 		k := 1 + tree.Len()/2
-		tops := pt.TopKPRFeBatch(alphas, k)
+		tops, err := pt.QueryTopKPRFeBatch(context.Background(), alphas, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for a, alpha := range alphas {
 			want := pt.RankPRFe(alpha)
 			wrapper := RankPRFe(tree, alpha)
@@ -172,11 +182,13 @@ func TestPreparedComboMatchesPerTermSum(t *testing.T) {
 				want[i] += us[l] * v
 			}
 		}
-		got := pt.PRFeCombo(us, alphas)
-		wrapper := PRFeCombo(tree, us, alphas)
+		got, err := pt.QueryPRFeCombo(context.Background(), us, alphas)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for id := range want {
-			if got[id] != want[id] || wrapper[id] != want[id] {
-				t.Fatalf("%s: id=%d: combo %v wrapper %v want %v", name, id, got[id], wrapper[id], want[id])
+			if got[id] != want[id] {
+				t.Fatalf("%s: id=%d: combo %v want %v", name, id, got[id], want[id])
 			}
 		}
 	})

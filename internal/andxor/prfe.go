@@ -204,13 +204,6 @@ func evalScalar(n *Node, pos []int, i int, x, y complex128) complex128 {
 	}
 }
 
-// PRFeCombo evaluates a linear combination Σ_l u_l·Υ_{α_l} on the tree, the
-// correlated-data backend of the Section 5.1 approximation: one incremental
-// pass per term over a shared prepared view.
-func PRFeCombo(t *Tree, us, alphas []complex128) []complex128 {
-	return PrepareTree(t).PRFeCombo(us, alphas)
-}
-
 // RankPRFe returns the PRFe(α) ranking of the tree's leaves for real α,
 // ranking by |Υ| as the paper's top-k definition prescribes.
 func RankPRFe(t *Tree, alpha float64) pdb.Ranking {

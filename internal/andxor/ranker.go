@@ -12,7 +12,8 @@ import (
 // pooled evaluation buffers); the ω-based family (PRF, PRFω(h), PT(h))
 // dispatches to the bivariate generating-function Algorithm 2 on the
 // underlying tree — the fastest known kernels for each metric on correlated
-// trees. Every answer is bit-for-bit what the legacy flat functions return.
+// trees. Every answer is bit-for-bit what the package's one-shot functions
+// return.
 
 // QueryPRFe evaluates Υ_α per TupleID. Identical to PRFe / PRFeValues.
 func (pt *PreparedTree) QueryPRFe(ctx context.Context, alpha complex128) ([]complex128, error) {
@@ -75,8 +76,9 @@ func (pt *PreparedTree) QueryTopKPRFeBatch(ctx context.Context, alphas []float64
 	return out, nil
 }
 
-// QueryPRFeCombo evaluates Σ_l u_l·Υ_{α_l} with one incremental pass per
-// term over pooled states. Identical to PRFeCombo.
+// QueryPRFeCombo evaluates Σ_l u_l·Υ_{α_l} — the correlated-data backend of
+// the Section 5.1 approximation — with one incremental pass per term over
+// pooled states, summed in term order: bit-for-bit Σ_l u_l·PRFe(α_l).
 func (pt *PreparedTree) QueryPRFeCombo(ctx context.Context, us, alphas []complex128) ([]complex128, error) {
 	if err := pdb.CheckCombo(us, alphas); err != nil {
 		return nil, err

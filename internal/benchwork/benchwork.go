@@ -96,15 +96,23 @@ func RankedPrepared(d *pdb.Dataset, alphas []float64) {
 }
 
 // RankedParallel produces the rankings with the per-α parallel batch path
-// (the non-kinetic arm of the dispatcher).
+// (the non-kinetic arm of the dispatcher). The grid is fed in descending
+// order, which the kinetic sweep does not accept, so every α is ranked
+// independently.
 func RankedParallel(d *pdb.Dataset, alphas []float64) {
-	core.Prepare(d).RankPRFeBatchParallel(alphas)
+	desc := make([]float64, len(alphas))
+	for i, a := range alphas {
+		desc[len(alphas)-1-i] = a
+	}
+	if _, err := core.Prepare(d).QueryRankPRFeBatch(context.Background(), desc); err != nil {
+		panic(err)
+	}
 }
 
 // RankedKinetic produces the rankings with the kinetic sweep: one sort at
 // the first grid point, then the α axis is walked by adjacent-pair
-// crossings with a certification pass per grid point (the RankPRFeBatch
-// dispatcher's grid arm).
+// crossings with a certification pass per grid point (the
+// QueryRankPRFeBatch dispatcher's grid arm).
 func RankedKinetic(d *pdb.Dataset, alphas []float64) {
 	if _, err := core.Prepare(d).RankPRFeSweep(context.Background(), alphas); err != nil {
 		panic(err)
@@ -197,8 +205,7 @@ func comboTerms(terms []core.ExpTerm) (us, alphas []complex128) {
 // TreeCombo evaluates an L-term PRFe combination on a correlated tree
 // through the one-shot path (prepare per call).
 func TreeCombo(t *andxor.Tree, terms []core.ExpTerm) {
-	us, alphas := comboTerms(terms)
-	andxor.PRFeCombo(t, us, alphas)
+	TreeComboPrepared(andxor.PrepareTree(t), terms)
 }
 
 // PrepareTree builds the prepared view of a tree — hoisted out of the
@@ -210,7 +217,9 @@ func PrepareTree(t *andxor.Tree) *andxor.PreparedTree { return andxor.PrepareTre
 // the sort and the Algorithm 3 state are amortized across the terms.
 func TreeComboPrepared(pt *andxor.PreparedTree, terms []core.ExpTerm) {
 	us, alphas := comboTerms(terms)
-	pt.PRFeCombo(us, alphas)
+	if _, err := pt.QueryPRFeCombo(context.Background(), us, alphas); err != nil {
+		panic(err)
+	}
 }
 
 // TreeSweepOneShot evaluates PRFe at every grid point through the per-query
@@ -226,7 +235,9 @@ func TreeSweepOneShot(t *andxor.Tree, calphas []complex128) {
 // TreeSweepPrepared evaluates the same sweep preparing once: the batch API
 // reuses the cached leaf order and pooled evaluation state across the grid.
 func TreeSweepPrepared(t *andxor.Tree, calphas []complex128) {
-	andxor.PrepareTree(t).PRFeBatch(calphas)
+	if _, err := andxor.PrepareTree(t).QueryPRFeBatch(context.Background(), calphas); err != nil {
+		panic(err)
+	}
 }
 
 // MarkovChain builds the standard calibrated n-variable Markov-chain
@@ -253,7 +264,9 @@ func ChainPRFeDP(c *junction.Chain) {
 // chain: the conditional tables and score order are cached and the grid
 // fans out over pooled product trees.
 func ChainSweepPrepared(c *junction.Chain, calphas []complex128) {
-	junction.PrepareChain(c).PRFeBatch(calphas)
+	if _, err := junction.PrepareChain(c).QueryPRFeBatch(context.Background(), calphas); err != nil {
+		panic(err)
+	}
 }
 
 // ChainPThCold answers one PT(h) query on a freshly prepared chain — the
@@ -293,7 +306,9 @@ func NetworkSweepPrepared(net *junction.Network, calphas []complex128) {
 	if err != nil {
 		panic(err)
 	}
-	pn.PRFeBatch(calphas)
+	if _, err := pn.QueryPRFeBatch(context.Background(), calphas); err != nil {
+		panic(err)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -366,12 +381,16 @@ func EngineSemanticRanking(e *engine.Engine, m engine.Metric, k, par int) {
 // DirectRankSweep is the direct prepared-view call EngineRankSweep is
 // measured against (same kernel, no engine dispatch).
 func DirectRankSweep(v *core.Prepared, alphas []float64) {
-	v.RankPRFeBatch(alphas)
+	if _, err := v.QueryRankPRFeBatch(context.Background(), alphas); err != nil {
+		panic(err)
+	}
 }
 
 // DirectTopKSweep is the direct arm of EngineTopKSweep.
 func DirectTopKSweep(v *core.Prepared, alphas []float64, k int) {
-	v.TopKPRFeBatch(alphas, k)
+	if _, err := v.QueryTopKPRFeBatch(context.Background(), alphas, k); err != nil {
+		panic(err)
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@
 // adjacent transpositions, so a Sweep maintains it incrementally — an event
 // queue of pair-crossing times for the exact spectrum enumeration
 // (SpectrumSize), and insertion-certified grid stepping behind
-// RankPRFeBatch for monotone α grids — instead of re-sorting at every grid
+// QueryRankPRFeBatch for monotone α grids — instead of re-sorting at every grid
 // point. Top-k queries first try the certified score-prefix selector
 // (topk.go), which reads only the prefix of the score order that can hold
 // the answer; grids whose prefixes grow past n/2 fall back to the sweep.

@@ -23,8 +23,8 @@ import (
 // the paper's Section 4.3 analysis promises.
 //
 // A Prepared view is safe for concurrent use: all methods are read-only, and
-// the parallel batch methods (PRFeLogBatch, RankPRFeBatch, PRFeCurve,
-// PRFeComboParallel, TopKPRFeBatch) fan work out across GOMAXPROCS
+// the parallel batch methods (PRFeLogBatch, PRFeCurve, PRFeComboParallel,
+// QueryRankPRFeBatch, QueryTopKPRFeBatch) fan work out across GOMAXPROCS
 // goroutines over the shared view.
 type Prepared struct {
 	ids    []pdb.TupleID // sorted position -> original tuple ID
@@ -632,35 +632,10 @@ func (v *Prepared) PRFeLogBatch(alphas []complex128) [][]float64 {
 	return out
 }
 
-// RankPRFeBatch computes the full PRFe(α) ranking for every α of a batch —
-// the spectrum-sweep workhorse. out[a] equals RankPRFe(alphas[a]),
-// bit-for-bit. When the batch is a strictly increasing grid inside (0, 1] —
-// the Theorem 4 domain — it runs the kinetic sweep: one sort at alphas[0],
-// then crossing events instead of a re-sort per grid point. Any other batch
-// falls back to per-α evaluation parallelized across GOMAXPROCS workers.
-func (v *Prepared) RankPRFeBatch(alphas []float64) []pdb.Ranking {
-	if len(alphas) >= 2 && gridForSweep(alphas) {
-		//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses RankPRFeSweep with the caller's ctx
-		out, err := v.RankPRFeSweep(context.Background(), alphas)
-		pdb.MustNoErr(err) // grid pre-checked and ctx never cancels
-		return out
-	}
-	return v.RankPRFeBatchParallel(alphas)
-}
-
-// RankPRFeBatchParallel evaluates each α independently across GOMAXPROCS
-// workers — the non-kinetic batch path, used for batches that are not
-// monotone α grids. Each worker owns one value buffer for its whole share
-// of the batch, so the per-query allocations are the output rankings alone.
-func (v *Prepared) RankPRFeBatchParallel(alphas []float64) []pdb.Ranking {
-	//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses rankPRFeParallelCtx with the caller's ctx
-	out, err := v.rankPRFeParallelCtx(context.Background(), alphas)
-	pdb.MustNoErr(err) // Background never cancels
-	return out
-}
-
-// rankPRFeParallelCtx is the single body behind RankPRFeBatchParallel and
-// the engine's non-grid QueryRankPRFeBatch arm.
+// rankPRFeParallelCtx evaluates each α independently across GOMAXPROCS
+// workers — QueryRankPRFeBatch's arm for batches that are not monotone α
+// grids. Each worker owns one value buffer for its whole share of the
+// batch, so the per-query allocations are the output rankings alone.
 func (v *Prepared) rankPRFeParallelCtx(ctx context.Context, alphas []float64) ([]pdb.Ranking, error) {
 	out := make([]pdb.Ranking, len(alphas))
 	workers := par.WorkersFor(ctx, len(alphas))
@@ -673,16 +648,6 @@ func (v *Prepared) rankPRFeParallelCtx(ctx context.Context, alphas []float64) ([
 		return nil, err
 	}
 	return out, nil
-}
-
-// TopKPRFeBatch answers many PRFe top-k queries against the shared view.
-// out[a] equals RankPRFe(alphas[a]).TopK(k), bit-for-bit. It is the
-// unvalidated, ctx-free form of QueryTopKPRFeBatch and shares its dispatch.
-func (v *Prepared) TopKPRFeBatch(alphas []float64, k int) []pdb.Ranking {
-	//lint:allow ctxflow ctx-free compatibility API; the engine's query path calls QueryTopKPRFeBatch with the caller's ctx
-	out, err := v.topKPRFeBatchCtx(context.Background(), alphas, k)
-	pdb.MustNoErr(err) // Background never cancels
-	return out
 }
 
 // PRFeCurve evaluates Υ_α(t) over a grid of real α values: curve[id][a] is

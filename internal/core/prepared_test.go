@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -286,20 +287,20 @@ func TestParallelBatchesMatchSerial(t *testing.T) {
 		equalFloats(t, "PRFeLogBatch", logBatch[a], v.PRFeLog(ca), 0)
 	}
 
-	rankBatch := v.RankPRFeBatch(alphas)
+	rankBatch := queryRankBatch(t, v, alphas)
 	for a, alpha := range alphas {
 		want := v.RankPRFe(alpha)
 		if !sameRanking(rankBatch[a], want) {
-			t.Fatalf("RankPRFeBatch[%d] differs from serial RankPRFe(%v)", a, alpha)
+			t.Fatalf("QueryRankPRFeBatch[%d] differs from serial RankPRFe(%v)", a, alpha)
 		}
 	}
 
 	k := 10
-	topBatch := v.TopKPRFeBatch(alphas, k)
+	topBatch := queryTopKBatch(t, v, alphas, k)
 	for a, alpha := range alphas {
 		want := v.RankPRFe(alpha).TopK(k)
 		if !sameRanking(topBatch[a], want) {
-			t.Fatalf("TopKPRFeBatch[%d] differs from serial top-k at α=%v", a, alpha)
+			t.Fatalf("QueryTopKPRFeBatch[%d] differs from serial top-k at α=%v", a, alpha)
 		}
 	}
 
@@ -405,7 +406,7 @@ func TestPreparedEmptyAndDegenerate(t *testing.T) {
 	if got := empty.PRFeCombo(randTerms(rand.New(rand.NewSource(1)), 3)); len(got) != 0 {
 		t.Fatalf("empty combo = %v", got)
 	}
-	if got := empty.RankPRFeBatch([]float64{0.5}); len(got) != 1 || len(got[0]) != 0 {
+	if got := queryRankBatch(t, empty, []float64{0.5}); len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("empty batch = %v", got)
 	}
 	one := Prepare(pdb.MustDataset([]float64{1}, []float64{0.3}))
@@ -424,7 +425,9 @@ func TestPreparedConcurrentUse(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v.RankPRFeBatch(alphas)
+		if _, err := v.QueryRankPRFeBatch(context.Background(), alphas); err != nil {
+			t.Error(err)
+		}
 	}()
 	v.PRFeComboParallel(randTerms(rng, 32))
 	v.PRFeCurve(alphas)

@@ -9,12 +9,12 @@ import (
 
 // This file is the independent-tuples arm of the unified Ranker engine: the
 // Query* methods make *Prepared satisfy engine.Ranker — context-aware,
-// error-returning entry points over the same kernels the flat API calls, so
-// every answer is bit-for-bit what the legacy path returns. Dispatch picks
-// the fastest kernel available here: top-k answers come from certified
-// score prefixes (topk.go), monotone α grids otherwise ride the kinetic
-// sweep (one sort plus Theorem 4 crossings), other batches fan out per α
-// across GOMAXPROCS workers, and single queries run the fused scans
+// error-returning entry points over the same kernels the package's one-shot
+// functions call, so every answer is bit-for-bit what they return. Dispatch
+// picks the fastest kernel available here: top-k answers come from
+// certified score prefixes (topk.go), monotone α grids otherwise ride the
+// kinetic sweep (one sort plus Theorem 4 crossings), other batches fan out
+// per α across GOMAXPROCS workers, and single queries run the fused scans
 // directly.
 //
 // A context parallelism cap (par.WithLimit, set by engine.Query.Parallelism)
@@ -94,7 +94,14 @@ func (v *Prepared) QueryTopKPRFeBatch(ctx context.Context, alphas []float64, k i
 	if err := pdb.CheckTopK(k); err != nil {
 		return nil, err
 	}
-	return v.topKPRFeBatchCtx(ctx, alphas, k)
+	if len(alphas) >= 2 && gridForSweep(alphas) {
+		out, ok, err := v.topKPRFeCertified(ctx, alphas, k)
+		if err != nil || ok {
+			return out, err
+		}
+		return v.TopKPRFeSweep(ctx, alphas, k)
+	}
+	return v.topKPRFeParallelCtx(ctx, alphas, k)
 }
 
 // QueryPRFeCombo evaluates Σ_l u_l·Υ_{α_l} with the fused single-pass

@@ -1046,8 +1046,8 @@ func gridForSweep(alphas []float64) bool {
 
 // errSweepGrid reports a batch handed to a sweep kernel that is not a
 // strictly increasing α grid inside (0, 1] — the Theorem 4 domain.
-// RankPRFeBatch is the forgiving dispatcher that falls back to the parallel
-// per-α path instead of erroring.
+// QueryRankPRFeBatch is the forgiving dispatcher that falls back to the
+// parallel per-α path instead of erroring.
 var errSweepGrid = errors.New("core: kinetic sweep needs a strictly increasing α grid in (0,1]")
 
 // RankPRFeSweep computes the full PRFe ranking at every point of a strictly

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -16,6 +17,26 @@ func refRankings(v *Prepared, alphas []float64) []pdb.Ranking {
 	out := make([]pdb.Ranking, len(alphas))
 	for a, alpha := range alphas {
 		out[a] = v.RankPRFe(alpha)
+	}
+	return out
+}
+
+// queryRankBatch and queryTopKBatch run the engine's batch entry points with
+// a background context, failing the test on any error.
+func queryRankBatch(t *testing.T, v *Prepared, alphas []float64) []pdb.Ranking {
+	t.Helper()
+	out, err := v.QueryRankPRFeBatch(context.Background(), alphas)
+	if err != nil {
+		t.Fatalf("QueryRankPRFeBatch: %v", err)
+	}
+	return out
+}
+
+func queryTopKBatch(t *testing.T, v *Prepared, alphas []float64, k int) []pdb.Ranking {
+	t.Helper()
+	out, err := v.QueryTopKPRFeBatch(context.Background(), alphas, k)
+	if err != nil {
+		t.Fatalf("QueryTopKPRFeBatch: %v", err)
 	}
 	return out
 }
@@ -145,24 +166,30 @@ func TestBatchDispatchersMatchReference(t *testing.T) {
 		{0.1, 0.2, 0.4, 0.8, 1.0}, // kinetic
 		{0.9, 0.1, 0.5, 0.5, 0.2}, // unsorted + duplicate → parallel
 		{0.3},                     // single query → parallel
-		{},                        // empty
 		{0.2, 0.2, 0.4},           // non-strict → parallel
 		{1e-12, 0.999999999, 1.0}, // extreme grid → kinetic
 		{0.5, 1.5},                // out of range → parallel
 	}
 	for bi, alphas := range batches {
-		got := v.RankPRFeBatch(alphas)
+		got := queryRankBatch(t, v, alphas)
 		for a, alpha := range alphas {
 			if !sameRanking(got[a], v.RankPRFe(alpha)) {
-				t.Fatalf("batch %d: RankPRFeBatch differs at α=%v", bi, alpha)
+				t.Fatalf("batch %d: QueryRankPRFeBatch differs at α=%v", bi, alpha)
 			}
 		}
-		gotK := v.TopKPRFeBatch(alphas, 7)
+		gotK := queryTopKBatch(t, v, alphas, 7)
 		for a, alpha := range alphas {
 			if !sameRanking(gotK[a], v.RankPRFe(alpha).TopK(7)) {
-				t.Fatalf("batch %d: TopKPRFeBatch differs at α=%v", bi, alpha)
+				t.Fatalf("batch %d: QueryTopKPRFeBatch differs at α=%v", bi, alpha)
 			}
 		}
+	}
+	// An empty batch has no grid point to answer and is rejected by both.
+	if _, err := v.QueryRankPRFeBatch(context.Background(), nil); !errors.Is(err, pdb.ErrEmptyGrid) {
+		t.Fatalf("empty rank batch: err = %v, want ErrEmptyGrid", err)
+	}
+	if _, err := v.QueryTopKPRFeBatch(context.Background(), nil, 7); !errors.Is(err, pdb.ErrEmptyGrid) {
+		t.Fatalf("empty top-k batch: err = %v, want ErrEmptyGrid", err)
 	}
 }
 
@@ -333,8 +360,19 @@ func TestSweepConcurrentBatches(t *testing.T) {
 	v := Prepare(d)
 	grid := []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0}
 	done := make(chan struct{}, 3)
-	go func() { v.RankPRFeBatch(grid); done <- struct{}{} }()
-	go func() { v.TopKPRFeBatch(grid, 9); done <- struct{}{} }()
+	ctx := context.Background()
+	go func() {
+		if _, err := v.QueryRankPRFeBatch(ctx, grid); err != nil {
+			t.Error(err)
+		}
+		done <- struct{}{}
+	}()
+	go func() {
+		if _, err := v.QueryTopKPRFeBatch(ctx, grid, 9); err != nil {
+			t.Error(err)
+		}
+		done <- struct{}{}
+	}()
 	go func() { v.SpectrumSizeGrid(40); done <- struct{}{} }()
 	want := refRankings(v, grid)
 	got, err := v.RankPRFeSweep(context.Background(), grid)

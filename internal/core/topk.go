@@ -171,19 +171,6 @@ func (v *Prepared) topKPRFeSelect(alpha float64, k, limit int) (pdb.Ranking, boo
 	return nil, false
 }
 
-// topKPRFeBatchCtx is the top-k batch dispatch behind QueryTopKPRFeBatch
-// and TopKPRFeBatch.
-func (v *Prepared) topKPRFeBatchCtx(ctx context.Context, alphas []float64, k int) ([]pdb.Ranking, error) {
-	if len(alphas) >= 2 && gridForSweep(alphas) {
-		out, ok, err := v.topKPRFeCertified(ctx, alphas, k)
-		if err != nil || ok {
-			return out, err
-		}
-		return v.TopKPRFeSweep(ctx, alphas, k)
-	}
-	return v.topKPRFeParallelCtx(ctx, alphas, k)
-}
-
 // topKPRFeCertified answers a monotone grid from certified score prefixes
 // of at most n/2 positions each — the rule store.LazyPrepared applies too —
 // and reports !ok as soon as some grid point needs more, leaving the grid

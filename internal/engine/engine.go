@@ -23,9 +23,9 @@
 //     the context between jobs, and serial sweeps check between grid
 //     points.
 //
-// Engine answers are certified bit-for-bit equal to the legacy flat
-// functions (see ranker_conformance_test.go at the repository root): the
-// engine adds dispatch and validation, never arithmetic.
+// Engine answers are certified bit-for-bit equal to the per-backend kernels
+// called directly (see ranker_conformance_test.go at the repository root):
+// the engine adds dispatch and validation, never arithmetic.
 package engine
 
 import (
@@ -44,7 +44,7 @@ import (
 //
 // The ranking convention is the backend's native one — log-domain
 // magnitudes on independent data, |Υ| on correlated backends — so rankings
-// agree bit-for-bit with the legacy per-backend functions.
+// agree bit-for-bit with the per-backend kernels.
 type Ranker interface {
 	// Len returns the number of ranked tuples.
 	Len() int

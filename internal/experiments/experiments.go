@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -46,13 +47,13 @@ type Experiment struct {
 	ID string
 	// Paper describes the artifact being reproduced.
 	Paper string
-	// Run executes the experiment.
-	Run func(cfg Config) error
+	// Run executes the experiment; ctx bounds the engine queries it runs.
+	Run func(ctx context.Context, cfg Config) error
 }
 
 var registry []Experiment
 
-func register(id, paper string, run func(cfg Config) error) {
+func register(id, paper string, run func(ctx context.Context, cfg Config) error) {
 	registry = append(registry, Experiment{ID: id, Paper: paper, Run: run})
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"strings"
@@ -35,7 +36,7 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestTable1Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runTable1(tinyConfig(&buf)); err != nil {
+	if err := runTable1(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -48,7 +49,7 @@ func TestTable1Runs(t *testing.T) {
 
 func TestFig4Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig4(tinyConfig(&buf)); err != nil {
+	if err := runFig4(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"DFT", "DFT+DF", "DFT+DF+IS", "DFT+DF+IS+ES", "MSE"} {
@@ -60,7 +61,7 @@ func TestFig4Runs(t *testing.T) {
 
 func TestFig5Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig5(tinyConfig(&buf)); err != nil {
+	if err := runFig5(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"step", "linear", "smooth"} {
@@ -72,7 +73,7 @@ func TestFig5Runs(t *testing.T) {
 
 func TestFig6Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig6(tinyConfig(&buf)); err != nil {
+	if err := runFig6(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -86,7 +87,7 @@ func TestFig6Runs(t *testing.T) {
 
 func TestFig7Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig7(tinyConfig(&buf)); err != nil {
+	if err := runFig7(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "IIP") || !strings.Contains(buf.String(), "Syn-IND") {
@@ -96,7 +97,7 @@ func TestFig7Runs(t *testing.T) {
 
 func TestFig8Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig8(tinyConfig(&buf)); err != nil {
+	if err := runFig8(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Figure 8(i)") || !strings.Contains(buf.String(), "Figure 8(ii)") {
@@ -106,7 +107,7 @@ func TestFig8Runs(t *testing.T) {
 
 func TestFig9Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig9(tinyConfig(&buf)); err != nil {
+	if err := runFig9(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "learning PRFe") || !strings.Contains(buf.String(), "learning PRFω") {
@@ -116,7 +117,7 @@ func TestFig9Runs(t *testing.T) {
 
 func TestFig10Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig10(tinyConfig(&buf)); err != nil {
+	if err := runFig10(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Syn-XOR", "Syn-LOW", "Syn-MED", "Syn-HIGH"} {
@@ -128,7 +129,7 @@ func TestFig10Runs(t *testing.T) {
 
 func TestFig11Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig11(tinyConfig(&buf)); err != nil {
+	if err := runFig11(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Figure 11(i)", "Figure 11(ii)", "Figure 11(iii)"} {
@@ -140,7 +141,7 @@ func TestFig11Runs(t *testing.T) {
 
 func TestTable3Runs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runTable3(tinyConfig(&buf)); err != nil {
+	if err := runTable3(context.Background(), tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "fitted") {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/andxor"
@@ -43,7 +44,7 @@ func fig10Datasets(cfg Config, n int) ([]corrDataset, error) {
 	}, nil
 }
 
-func runFig10(cfg Config) error {
+func runFig10(ctx context.Context, cfg Config) error {
 	k := 100
 	// Part (i): PRFe across α — cheap on trees, so use a larger n.
 	n1 := cfg.scaled(10000, 1000)
@@ -65,8 +66,12 @@ func runFig10(cfg Config) error {
 	indepSweeps := make([][]pdb.Ranking, len(ds))
 	awareSweeps := make([][]pdb.Ranking, len(ds))
 	for i, d := range ds {
-		indepSweeps[i] = core.Prepare(d.tree.Dataset()).RankPRFeBatch(alphas)
-		awareSweeps[i] = andxor.PrepareTree(d.tree).RankPRFeBatch(alphas)
+		if indepSweeps[i], err = core.Prepare(d.tree.Dataset()).QueryRankPRFeBatch(ctx, alphas); err != nil {
+			return err
+		}
+		if awareSweeps[i], err = andxor.PrepareTree(d.tree).QueryRankPRFeBatch(ctx, alphas); err != nil {
+			return err
+		}
 	}
 	for a, alpha := range alphas {
 		fmt.Fprintf(cfg.Out, "%6.2f", alpha)

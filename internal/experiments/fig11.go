@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/andxor"
@@ -16,7 +17,7 @@ func init() {
 		runFig11)
 }
 
-func runFig11(cfg Config) error {
+func runFig11(ctx context.Context, cfg Config) error {
 	// Part (i): PRFe, PT(100), U-Rank(k), E-Rank on IIP datasets of growing
 	// size.
 	header(cfg.Out, "Figure 11(i) — execution time vs number of tuples (IIP)")
@@ -100,7 +101,7 @@ func runFig11(cfg Config) error {
 			if float64(n)*float64(n)*float64(h) <= 2e9 {
 				exactStr = fmtDur(timeIt(func() { andxor.PTh(tree, h) }))
 			}
-			approxTime := func(l int) string {
+			approxTime := func(l int) (string, error) {
 				terms := dftapprox.TermsForRankWeights(
 					dftapprox.Approximate(dftapprox.Step(h), h, dftapprox.DefaultOptions(l)))
 				us := make([]complex128, len(terms))
@@ -108,10 +109,20 @@ func runFig11(cfg Config) error {
 				for i, t := range terms {
 					us[i], alphas[i] = t.U, t.Alpha
 				}
-				return fmtDur(timeIt(func() { pt.PRFeCombo(us, alphas) }))
+				var err error
+				dur := timeIt(func() { _, err = pt.QueryPRFeCombo(ctx, us, alphas) })
+				return fmtDur(dur), err
+			}
+			approx20, err := approxTime(20)
+			if err != nil {
+				return err
+			}
+			approx50, err := approxTime(50)
+			if err != nil {
+				return err
 			}
 			fmt.Fprintf(cfg.Out, "%10s %10d %8d %12s %12s %10s %10s\n",
-				which, n, h, fmtDur(tPRFe), exactStr, approxTime(20), approxTime(50))
+				which, n, h, fmtDur(tPRFe), exactStr, approx20, approx50)
 		}
 	}
 	fmt.Fprintln(cfg.Out, "\nPaper: PRFe and E-Rank are linear and k-insensitive (a million tuples in")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dftapprox"
@@ -15,7 +16,7 @@ func init() {
 		runFig5)
 }
 
-func runFig4(cfg Config) error {
+func runFig4(_ context.Context, cfg Config) error {
 	n := cfg.scaled(1000, 100)
 	const l = 20
 	omega := dftapprox.Step(n)
@@ -50,7 +51,7 @@ func runFig4(cfg Config) error {
 	return nil
 }
 
-func runFig5(cfg Config) error {
+func runFig5(_ context.Context, cfg Config) error {
 	n := cfg.scaled(1000, 100)
 	funcs := []struct {
 		name  string

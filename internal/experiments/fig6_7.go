@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/baselines"
@@ -18,7 +19,7 @@ func init() {
 		runFig7)
 }
 
-func runFig6(cfg Config) error {
+func runFig6(_ context.Context, cfg Config) error {
 	// The Example 7 database: (t1:100,.4) (t2:80,.6) (t3:50,.5) (t4:30,.9).
 	d := pdb.MustDataset([]float64{100, 80, 50, 30}, []float64{0.4, 0.6, 0.5, 0.9})
 	v := core.Prepare(d) // one sorted view for the curves and crossings
@@ -57,7 +58,7 @@ func runFig6(cfg Config) error {
 	return nil
 }
 
-func runFig7(cfg Config) error {
+func runFig7(ctx context.Context, cfg Config) error {
 	k := 100
 	datasets := []struct {
 		name string
@@ -100,7 +101,10 @@ func runFig7(cfg Config) error {
 		fmt.Fprintln(cfg.Out)
 		// The α grid is monotone, so the batch rides the kinetic sweep:
 		// one sort at the first grid point, adjacent swaps after that.
-		sweep := v.RankPRFeBatch(alphas)
+		sweep, err := v.QueryRankPRFeBatch(ctx, alphas)
+		if err != nil {
+			return err
+		}
 		for j, alpha := range alphas {
 			fmt.Fprintf(cfg.Out, "%4d %8.5f", is[j], alpha)
 			for _, ref := range refs {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -28,7 +29,7 @@ func comboRanking(v *core.Prepared, terms []dftapprox.Term) pdb.Ranking {
 	return pdb.RankByValue(core.RealParts(vals))
 }
 
-func runFig8(cfg Config) error {
+func runFig8(_ context.Context, cfg Config) error {
 	// Part (i): PT(1000) with k=1000 on IIP-100,000 under the four DFT
 	// variants, L sweep.
 	n := cfg.scaled(100000, 2000)

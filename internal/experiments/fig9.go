@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/baselines"
@@ -50,7 +51,7 @@ func fig9UserFuncs() []userFunc {
 	}
 }
 
-func runFig9(cfg Config) error {
+func runFig9(_ context.Context, cfg Config) error {
 	n := cfg.scaled(100000, 2000)
 	k := 100
 	d := datagen.IIPLike(n, cfg.Seed)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/baselines"
@@ -32,7 +33,7 @@ func baselineRankings(d *pdb.Dataset, k, h int) (labels []string, ranks []pdb.Ra
 	return labels, ranks
 }
 
-func runTable1(cfg Config) error {
+func runTable1(_ context.Context, cfg Config) error {
 	n := cfg.scaled(100000, 500)
 	k := 100
 	if k > n/2 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -33,7 +34,7 @@ func fitExponent(ns []int, ts []time.Duration) float64 {
 	return (m*sxy - sx*sy) / (m*sxx - sx*sx)
 }
 
-func runTable3(cfg Config) error {
+func runTable3(_ context.Context, cfg Config) error {
 	header(cfg.Out, "Table 3 — empirical scaling of the ranking algorithms")
 	fmt.Fprintf(cfg.Out, "%-34s %-14s %-10s %s\n", "algorithm", "paper bound", "fitted n^b", "times")
 

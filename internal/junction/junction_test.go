@@ -345,15 +345,16 @@ func TestPRFOnNetwork(t *testing.T) {
 	}
 	rd := pdb.RankDistributionFromWorlds(worlds, 6)
 	// PT(2) weights via generic PRF.
-	got, err := PRF(net, func(_ pdb.Tuple, rank int) float64 {
+	pn, err := PrepareNetwork(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := pn.PRF(func(_ pdb.Tuple, rank int) float64 {
 		if rank <= 2 {
 			return 1
 		}
 		return 0
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for v := 0; v < 6; v++ {
 		want := rd.At(pdb.TupleID(v), 1) + rd.At(pdb.TupleID(v), 2)
 		if math.Abs(got[v]-want) > 1e-9 {

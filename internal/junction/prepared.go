@@ -117,19 +117,10 @@ func (pn *PreparedNetwork) PRFe(alpha complex128) []complex128 {
 	return out
 }
 
-// PRFeBatch evaluates PRFe for every α of a grid: the DP runs once and the
-// per-α folds fan out across GOMAXPROCS goroutines. out[a] equals
-// PRFe(alphas[a]) bit-for-bit.
-func (pn *PreparedNetwork) PRFeBatch(alphas []complex128) [][]complex128 {
-	//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses prfeBatchCtx with the caller's ctx
-	out, err := pn.prfeBatchCtx(context.Background(), alphas)
-	pdb.MustNoErr(err)
-	return out
-}
-
-// prfeBatchCtx is PRFeBatch with cooperative cancellation between grid
-// points — the single fold-loop body shared with the engine's
-// QueryPRFeBatch arm.
+// prfeBatchCtx evaluates PRFe for every α of a grid: the DP runs once and
+// the per-α folds fan out across GOMAXPROCS goroutines, with cancellation
+// honored between grid points. out[a] equals PRFe(alphas[a]) bit-for-bit.
+// It is the body of QueryPRFeBatch.
 func (pn *PreparedNetwork) prfeBatchCtx(ctx context.Context, alphas []complex128) ([][]complex128, error) {
 	rd := pn.RankDistribution()
 	out := make([][]complex128, len(alphas))
@@ -381,18 +372,10 @@ func (pc *PreparedChain) PRFe(alpha complex128) []complex128 {
 	return out
 }
 
-// PRFeBatch evaluates PRFe for every α of a grid, fanning the grid across
-// GOMAXPROCS goroutines with one pooled product tree per worker. out[a]
-// equals PRFe(alphas[a]) bit-for-bit.
-func (pc *PreparedChain) PRFeBatch(alphas []complex128) [][]complex128 {
-	//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses prfeBatchCtx with the caller's ctx
-	out, err := pc.prfeBatchCtx(context.Background(), alphas)
-	pdb.MustNoErr(err)
-	return out
-}
-
-// prfeBatchCtx is PRFeBatch with cooperative cancellation between grid
-// points.
+// prfeBatchCtx evaluates PRFe for every α of a grid, fanning the grid
+// across GOMAXPROCS goroutines with one pooled product tree per worker and
+// honoring cancellation between grid points. out[a] equals PRFe(alphas[a])
+// bit-for-bit.
 func (pc *PreparedChain) prfeBatchCtx(ctx context.Context, alphas []complex128) ([][]complex128, error) {
 	out := make([][]complex128, len(alphas))
 	workers := par.WorkersFor(ctx, len(alphas))
@@ -420,17 +403,6 @@ func (pc *PreparedChain) prfeBatchCtx(ctx context.Context, alphas []complex128) 
 // ranking by |Υ|.
 func (pc *PreparedChain) RankPRFe(alpha float64) pdb.Ranking {
 	return pdb.RankByAbs(pc.PRFe(complex(alpha, 0)))
-}
-
-// RankPRFeBatch computes the PRFe ranking at every α of a grid in parallel,
-// fused per worker: one pooled product tree and one value buffer serve a
-// worker's whole share of the grid, so only the rankings themselves are
-// fresh allocations.
-func (pc *PreparedChain) RankPRFeBatch(alphas []float64) []pdb.Ranking {
-	out := make([]pdb.Ranking, len(alphas))
-	//lint:allow ctxflow ctx-free compatibility API; the engine's query path uses rankBatchCtx with the caller's ctx
-	pdb.MustNoErr(pc.rankBatchCtx(context.Background(), alphas, func(a int, r pdb.Ranking) { out[a] = r }))
-	return out
 }
 
 // rankBatchCtx is the cancellation-aware per-α ranking loop shared by the

@@ -1,6 +1,7 @@
 package junction
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -117,7 +118,10 @@ func TestPreparedChainBatchMatchesSerial(t *testing.T) {
 	withWorkersJ(t, 4)
 	forEachSuiteChain(t, func(name string, c *Chain) {
 		pc := PrepareChain(c)
-		batch := pc.PRFeBatch(chainGrid)
+		batch, err := pc.QueryPRFeBatch(context.Background(), chainGrid)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for a, alpha := range chainGrid {
 			want := pc.PRFe(alpha)
 			for v := range want {
@@ -127,7 +131,10 @@ func TestPreparedChainBatchMatchesSerial(t *testing.T) {
 			}
 		}
 		alphas := []float64{0.2, 0.5, 0.9, 1}
-		ranks := pc.RankPRFeBatch(alphas)
+		ranks, err := pc.QueryRankPRFeBatch(context.Background(), alphas)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for a, alpha := range alphas {
 			want := pc.RankPRFe(alpha)
 			for i := range want {
@@ -167,7 +174,10 @@ func TestPreparedNetworkMatchesJTreeReference(t *testing.T) {
 				}
 			}
 		}
-		batch := pn.PRFeBatch(chainGrid)
+		batch, err := pn.QueryPRFeBatch(context.Background(), chainGrid)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for a, alpha := range chainGrid {
 			serial := pn.PRFe(alpha)
 			for v := 0; v < net.Len(); v++ {

@@ -312,17 +312,6 @@ func (e *dpEval) rankDistribution() *pdb.RankDistribution {
 	return &pdb.RankDistribution{Dist: dist}
 }
 
-// PRF computes Υω for every tuple of the network: the rank-distribution
-// matrix folded with the weight function. One-shot prepare-then-call
-// wrapper.
-func PRF(net *Network, omega func(tu pdb.Tuple, rank int) float64) ([]float64, error) {
-	pn, err := PrepareNetwork(net)
-	if err != nil {
-		return nil, err
-	}
-	return pn.PRF(omega), nil
-}
-
 // PRFe computes Υ_α for every tuple of the network via the rank
 // distribution. One-shot prepare-then-call wrapper. (No faster
 // special-purpose algorithm is known for general graphical models; the

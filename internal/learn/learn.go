@@ -240,23 +240,12 @@ func RankWithOmega(d *pdb.Dataset, w []float64) pdb.Ranking {
 	return pdb.RankByValue(core.PRFOmega(d, w))
 }
 
-// GridScanAlpha evaluates the Kendall distance on a uniform α grid — the
-// exhaustive reference LearnAlpha is checked against, and the data series
-// behind the Figure 7-style distance-vs-α curves.
-func GridScanAlpha(sample *pdb.Dataset, user pdb.Ranking, k, gridSize int) (alphas, dists []float64) {
-	//lint:allow ctxflow legacy ctx-free wrapper; callers needing deadlines use GridScanAlphaRanker directly
-	alphas, dists, err := GridScanAlphaRanker(context.Background(), core.Prepare(sample), user, k, gridSize)
-	if err != nil {
-		//lint:allow errdiscipline legacy ctx-free wrapper: with in-process data and a Background ctx an error means caller misuse, matching mustAlpha
-		panic(err)
-	}
-	return alphas, dists
-}
-
-// GridScanAlphaRanker is GridScanAlpha over any unified-engine backend: the
-// monotone grid rides the backend's fastest batch kernel (the kinetic sweep
-// on independent data — sort once, advance by crossings), and only the
-// top-k prefixes materialize.
+// GridScanAlphaRanker evaluates the Kendall distance on a uniform α grid
+// over any unified-engine backend — the exhaustive reference LearnAlpha is
+// checked against, and the data series behind the Figure 7-style
+// distance-vs-α curves. The monotone grid rides the backend's fastest batch
+// kernel (the kinetic sweep on independent data — sort once, advance by
+// crossings), and only the top-k prefixes materialize.
 func GridScanAlphaRanker(ctx context.Context, r engine.Ranker, user pdb.Ranking, k, gridSize int) (alphas, dists []float64, err error) {
 	if err := pdb.CheckRankingIDs(user, r.Len()); err != nil {
 		return nil, nil, fmt.Errorf("learn: invalid user ranking: %w", err)

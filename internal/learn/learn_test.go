@@ -59,7 +59,10 @@ func TestLearnAlphaBeatsGridScan(t *testing.T) {
 	d := randDataset(rng, 150)
 	user := pdb.RankByValue(baselines.EScore(d))
 	res := LearnAlpha(d, user, 30, 8)
-	_, dists := GridScanAlpha(d, user, 30, 40)
+	_, dists, err := GridScanAlphaRanker(context.Background(), core.Prepare(d), user, 30, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gridBest := math.Inf(1)
 	for _, v := range dists {
 		if v < gridBest {
@@ -130,7 +133,10 @@ func TestGridScanAlphaShape(t *testing.T) {
 	d := randDataset(rng, 60)
 	user := core.RankPRFe(d, 0.7)
 	// gridSize 10 puts the true α=0.7 exactly on the grid (7/10).
-	alphas, dists := GridScanAlpha(d, user, 20, 10)
+	alphas, dists, err := GridScanAlphaRanker(context.Background(), core.Prepare(d), user, 20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(alphas) != 10 || len(dists) != 10 {
 		t.Fatalf("lengths %d/%d", len(alphas), len(dists))
 	}

@@ -143,7 +143,8 @@ func (s *Store) Import(name string, ds *Dataset) (Info, error) {
 }
 
 // writeAtomic writes segment bytes to a temp file in the store directory,
-// syncs, and renames it over the target.
+// syncs, renames it over the target and syncs the directory, so a returned
+// nil means the new segment survives a crash.
 func (s *Store) writeAtomic(name string, data []byte) error {
 	tmp, err := os.CreateTemp(s.dir, "."+name+".tmp*")
 	if err != nil {
@@ -164,9 +165,17 @@ func (s *Store) writeAtomic(name string, data []byte) error {
 	if err := os.Rename(tmp.Name(), s.path(name)); err != nil {
 		return fmt.Errorf("store: importing %s: %w", name, err)
 	}
-	if d, err := os.Open(s.dir); err == nil { // best-effort directory sync
-		_ = d.Sync()
-		_ = d.Close()
+	// The rename is durable only once the directory entry is synced.
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return fmt.Errorf("store: importing %s: %w", name, err)
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return fmt.Errorf("store: importing %s: %w", name, err)
+	}
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("store: importing %s: %w", name, err)
 	}
 	return nil
 }

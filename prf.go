@@ -19,7 +19,10 @@
 //	    []float64{120, 130, 80},   // scores
 //	    []float64{0.4, 0.7, 0.3},  // existence probabilities
 //	)
-//	top := prf.RankPRFe(d, 0.95).TopK(2)
+//	res, _ := prf.EngineFor(d).Rank(context.Background(), prf.Query{
+//	    Metric: prf.MetricPRFe, Alpha: 0.95, Output: prf.OutputTopK, K: 2,
+//	})
+//	top := res.Ranking
 //
 // The package is a thin, documented facade over the internal packages; see
 // DESIGN.md for the architecture and EXPERIMENTS.md for the reproduction of
@@ -99,9 +102,10 @@ type (
 	Ranker = engine.Ranker
 	// Engine executes declarative ranking queries (Query) against any
 	// Ranker: Engine.Rank for single evaluations, Engine.RankBatch for α
-	// grids. Answers are bit-for-bit identical to the legacy flat
-	// functions; the engine adds dispatch, validation and cancellation,
-	// never arithmetic. Safe for concurrent use.
+	// grids. It is the facade's one ranking entry point. Answers are
+	// bit-for-bit identical to the backend kernels it dispatches to; the
+	// engine adds dispatch, validation and cancellation, never arithmetic.
+	// Safe for concurrent use.
 	Engine = engine.Engine
 	// Query declares one ranking computation: a Metric, its parameters and
 	// an Output form.
@@ -258,11 +262,11 @@ func Serve(ctx context.Context, addr string, s *RankServer) error {
 // Prepared is an immutable, score-sorted view of a dataset in
 // struct-of-arrays layout. Build it once with Prepare, then call its kernel
 // methods (PRF, PRFOmega, PTh, PRFe, PRFeLog, PRFeCombo,
-// RankDistributionTrunc, …) and parallel batch methods (RankPRFeBatch,
-// PRFeLogBatch, TopKPRFeBatch, PRFeCurve, PRFeComboParallel) — none of them
-// re-clones or re-sorts, so an α-spectrum sweep or a multi-term PRFe
-// combination pays the O(n log n) sort exactly once. Safe for concurrent
-// use.
+// RankDistributionTrunc, …), its parallel batch methods (PRFeLogBatch,
+// PRFeCurve, PRFeComboParallel) or its ctx-aware Ranker methods
+// (QueryRankPRFeBatch, QueryTopKPRFeBatch, …) — none of them re-clones or
+// re-sorts, so an α-spectrum sweep or a multi-term PRFe combination pays
+// the O(n log n) sort exactly once. Safe for concurrent use.
 type Prepared = core.Prepared
 
 // Prepare builds the sorted struct-of-arrays view of a dataset. The dataset
@@ -285,9 +289,9 @@ func ParallelTopK(valueBatch [][]float64, k int) []Ranking {
 type Sweep = core.Sweep
 
 // NewSweep builds a kinetic sweep over the prepared view positioned at
-// alpha ∈ (0, 1]. The batch APIs (RankPRFeBatch, TopKPRFeBatch) construct
-// sweeps automatically for monotone α grids; reach for NewSweep directly
-// when advancing α incrementally yourself.
+// alpha ∈ (0, 1]. Engine.RankBatch (through QueryRankPRFeBatch and
+// QueryTopKPRFeBatch) constructs sweeps automatically for monotone α grids;
+// reach for NewSweep directly when advancing α incrementally yourself.
 func NewSweep(v *Prepared, alpha float64) *Sweep { return v.NewSweep(alpha) }
 
 // URankPrepared is URank on a prepared view (no re-sort, no clone).
@@ -319,50 +323,8 @@ func RankDistributionTrunc(d *Dataset, h int) *RankDistributionMatrix {
 	return core.RankDistributionTrunc(d, h)
 }
 
-// PRF evaluates Υω(t) for an arbitrary weight function in O(n²) time and
-// O(n) space. Results are indexed by TupleID.
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineFor(d).Rank with MetricPRF, which adds validation, cancellation and
-// backend portability.
-func PRF(d *Dataset, omega WeightFunc) []float64 { return core.PRF(d, omega) }
-
-// PRFOmega evaluates the PRFω(h) family: w[j] is the weight of rank j+1 and
-// ranks beyond len(w) weigh zero. O(n·h + n log n).
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineFor(d).Rank with MetricPRFOmega.
-func PRFOmega(d *Dataset, w []float64) []float64 { return core.PRFOmega(d, w) }
-
-// PTh evaluates Pr(r(t) ≤ h) — the probabilistic-threshold / Global-top-k
-// ranking function — for every tuple in O(n·h).
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineFor(d).Rank with MetricPTh.
-func PTh(d *Dataset, h int) []float64 { return core.PTh(d, h) }
-
-// PRFe evaluates Υ_α(t) for every tuple with one linear scan (Equation 3).
-// See PRFeLog for the numerically robust variant at scale.
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineFor(d).Rank with MetricPRFe.
-func PRFe(d *Dataset, alpha complex128) []complex128 { return core.PRFe(d, alpha) }
-
 // PRFeLog evaluates log|Υ_α(t)|, the underflow-free form used for ranking.
 func PRFeLog(d *Dataset, alpha complex128) []float64 { return core.PRFeLog(d, alpha) }
-
-// RankPRFe returns the full PRFe(α) ranking for real α ∈ [0, 1].
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineFor(d).Rank with MetricPRFe and OutputRanking.
-func RankPRFe(d *Dataset, alpha float64) Ranking { return core.RankPRFe(d, alpha) }
-
-// PRFeCombo evaluates a linear combination Σ u_l·Υ_{α_l}(t) of PRFe
-// functions — the Section 5.1 approximate-PRFω backend. O(n·L).
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineFor(d).Rank with MetricPRFeCombo.
-func PRFeCombo(d *Dataset, terms []ExpTerm) []complex128 { return core.PRFeCombo(d, terms) }
 
 // TopK ranks all tuples by non-increasing value and returns the best k IDs.
 func TopK(values []float64, k int) Ranking { return core.TopK(values, k) }
@@ -433,12 +395,12 @@ func TreeFromWorlds(worlds [][]Alternative, probs []float64, keys [][]string) (*
 
 // PreparedTree is an immutable prepared view of an and/xor tree — the
 // correlated-data leg of the prepared-evaluation engine. Build it once with
-// PrepareTree, then call its kernel methods (PRFe, PRFeCombo, RankPRFe,
-// ERank) and parallel batch methods (PRFeBatch, RankPRFeBatch,
-// TopKPRFeBatch): the ranked leaf order and the incremental Algorithm 3
-// evaluation state are paid once and reused, so α-spectrum sweeps and
-// multi-term combinations on trees stop re-sorting and re-allocating per
-// query. Safe for concurrent use.
+// PrepareTree, then call its kernel methods (PRFe, RankPRFe, ERank) or its
+// ctx-aware Ranker methods (QueryPRFeBatch, QueryRankPRFeBatch,
+// QueryTopKPRFeBatch, QueryPRFeCombo, …): the ranked leaf order and the
+// incremental Algorithm 3 evaluation state are paid once and reused, so
+// α-spectrum sweeps and multi-term combinations on trees stop re-sorting
+// and re-allocating per query. Safe for concurrent use.
 type PreparedTree = andxor.PreparedTree
 
 // PrepareTree builds the prepared view of an and/xor tree. The tree is never
@@ -453,48 +415,6 @@ func TreeRankDistribution(t *Tree) *RankDistributionMatrix { return andxor.RankD
 // TreeRankDistributionTrunc truncates the computation to ranks ≤ h.
 func TreeRankDistributionTrunc(t *Tree, h int) *RankDistributionMatrix {
 	return andxor.RankDistributionTrunc(t, h)
-}
-
-// TreePRF evaluates Υω on a correlated dataset.
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineForTree(t).Rank with MetricPRF — the same Query then runs on any
-// backend.
-func TreePRF(t *Tree, omega func(tu Tuple, rank int) float64) []float64 {
-	return andxor.PRF(t, omega)
-}
-
-// TreePRFOmega evaluates PRFω(h) on a correlated dataset.
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineForTree(t).Rank with MetricPRFOmega.
-func TreePRFOmega(t *Tree, w []float64) []float64 { return andxor.PRFOmega(t, w) }
-
-// TreePTh evaluates PT(h) on a correlated dataset.
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineForTree(t).Rank with MetricPTh.
-func TreePTh(t *Tree, h int) []float64 { return andxor.PTh(t, h) }
-
-// TreePRFe evaluates Υ_α on a correlated dataset with the incremental
-// Algorithm 3 (O(Σ depth(tᵢ) + n log n)).
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineForTree(t).Rank with MetricPRFe.
-func TreePRFe(t *Tree, alpha complex128) []complex128 { return andxor.PRFeValues(t, alpha) }
-
-// TreeRankPRFe returns the PRFe(α) ranking of the tree's tuples.
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineForTree(t).Rank with MetricPRFe and OutputRanking.
-func TreeRankPRFe(t *Tree, alpha float64) Ranking { return andxor.RankPRFe(t, alpha) }
-
-// TreePRFeCombo evaluates a linear combination of PRFe functions on a tree.
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineForTree(t).Rank with MetricPRFeCombo.
-func TreePRFeCombo(t *Tree, us, alphas []complex128) []complex128 {
-	return andxor.PRFeCombo(t, us, alphas)
 }
 
 // TreeExpectedRanks returns E[r(t)] on a correlated dataset.
@@ -680,22 +600,6 @@ func NetworkRankDistribution(net *MarkovNetwork) (*RankDistributionMatrix, error
 	return junction.RankDistribution(net)
 }
 
-// NetworkPRF evaluates Υω over a Markov network.
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineForNetwork(net) and Rank with MetricPRF.
-func NetworkPRF(net *MarkovNetwork, omega func(tu Tuple, rank int) float64) ([]float64, error) {
-	return junction.PRF(net, omega)
-}
-
-// NetworkPRFe evaluates Υ_α over a Markov network.
-//
-// Deprecated: kept as a working one-shot wrapper. New code should use
-// EngineForNetwork(net) and Rank with MetricPRFe.
-func NetworkPRFe(net *MarkovNetwork, alpha complex128) ([]complex128, error) {
-	return junction.PRFe(net, alpha)
-}
-
 // NewMarkovChain builds the Section 9.3 chain model from calibrated pairwise
 // joints Pr(Y_j, Y_{j+1}).
 func NewMarkovChain(scores []float64, pair [][2][2]float64) (*MarkovChain, error) {
@@ -705,8 +609,9 @@ func NewMarkovChain(scores []float64, pair [][2][2]float64) (*MarkovChain, error
 // PreparedNetwork is an immutable prepared view of a Markov network: the
 // junction tree is built and calibrated once, the rank-distribution matrix
 // is cached on first use, and the partial-sum DP buffers are pooled, so
-// repeated ranking queries (PRF, PRFe, PRFeBatch over an α grid, ERank)
-// stop re-triangulating and re-running the DP. Safe for concurrent use.
+// repeated ranking queries (PRF, PRFe, ERank, QueryPRFeBatch over an α
+// grid) stop re-triangulating and re-running the DP. Safe for concurrent
+// use.
 type PreparedNetwork = junction.PreparedNetwork
 
 // PrepareNetwork builds the prepared view of a Markov network. The one-shot

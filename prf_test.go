@@ -29,6 +29,22 @@ func figure1(t *testing.T) *prf.Tree {
 	return tree
 }
 
+// rankQ answers one query through the engine, failing the test on error.
+func rankQ(t testing.TB, e *prf.Engine, q prf.Query) *prf.Result {
+	t.Helper()
+	res, err := e.Rank(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%v query: %v", q.Metric, err)
+	}
+	return res
+}
+
+// prfeRanking is the full PRFe(α) ranking through the engine.
+func prfeRanking(t testing.TB, e *prf.Engine, alpha float64) prf.Ranking {
+	t.Helper()
+	return rankQ(t, e, prf.Query{Metric: prf.MetricPRFe, Alpha: alpha, Output: prf.OutputRanking}).Ranking
+}
+
 func TestPublicAPIIndependentPipeline(t *testing.T) {
 	d, err := prf.NewDataset(
 		[]float64{100, 80, 50, 30},
@@ -37,12 +53,13 @@ func TestPublicAPIIndependentPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := prf.EngineFor(d)
 	// PRFe ranking at the extremes (Example 7).
-	r0 := prf.RankPRFe(d, 1e-9)
+	r0 := prfeRanking(t, eng, 1e-9)
 	if r0[0] != 0 {
 		t.Fatalf("α→0 should rank t1 first: %v", r0)
 	}
-	r1 := prf.RankPRFe(d, 1)
+	r1 := prfeRanking(t, eng, 1)
 	if r1[0] != 3 {
 		t.Fatalf("α=1 should rank t4 first: %v", r1)
 	}
@@ -54,14 +71,14 @@ func TestPublicAPIIndependentPipeline(t *testing.T) {
 		}
 	}
 	// PT, PRF, PRFOmega agree on step weights.
-	pt := prf.PTh(d, 2)
-	po := prf.PRFOmega(d, []float64{1, 1})
-	pg := prf.PRF(d, func(_ prf.Tuple, i int) float64 {
+	pt := rankQ(t, eng, prf.Query{Metric: prf.MetricPTh, H: 2}).Values
+	po := rankQ(t, eng, prf.Query{Metric: prf.MetricPRFOmega, Weights: []float64{1, 1}}).Values
+	pg := rankQ(t, eng, prf.Query{Metric: prf.MetricPRF, Omega: func(_ prf.Tuple, i int) float64 {
 		if i <= 2 {
 			return 1
 		}
 		return 0
-	})
+	}}).Values
 	for i := range pt {
 		if math.Abs(pt[i]-po[i]) > 1e-12 || math.Abs(pt[i]-pg[i]) > 1e-12 {
 			t.Fatalf("PT/PRFω/PRF disagree at %d: %v %v %v", i, pt[i], po[i], pg[i])
@@ -115,19 +132,20 @@ func TestPublicAPITreePipeline(t *testing.T) {
 		t.Fatalf("Pr(r(t4)=3) = %v", got)
 	}
 	// PRFe incremental vs truncated PRFω consistency.
-	vals := prf.TreePRFe(tree, complex(0.8, 0))
-	full := prf.TreePRF(tree, func(_ prf.Tuple, i int) float64 {
+	eng := prf.EngineForTree(tree)
+	vals := rankQ(t, eng, prf.Query{Metric: prf.MetricPRFe, Alpha: 0.8}).Complex
+	full := rankQ(t, eng, prf.Query{Metric: prf.MetricPRF, Omega: func(_ prf.Tuple, i int) float64 {
 		return math.Pow(0.8, float64(i))
-	})
+	}}).Values
 	for i := range vals {
 		if math.Abs(real(vals[i])-full[i]) > 1e-9 {
 			t.Fatalf("tree PRFe mismatch at %d", i)
 		}
 	}
-	if got := prf.TreeRankPRFe(tree, 0.8); len(got) != 6 {
+	if got := prfeRanking(t, eng, 0.8); len(got) != 6 {
 		t.Fatalf("tree ranking: %v", got)
 	}
-	if got := prf.TreePTh(tree, 2); len(got) != 6 {
+	if got := rankQ(t, eng, prf.Query{Metric: prf.MetricPTh, H: 2}).Values; len(got) != 6 {
 		t.Fatalf("tree PT: %v", got)
 	}
 	if got, err := prf.URankTree(tree, 2); err != nil || len(got) != 2 {
@@ -211,14 +229,15 @@ func TestPublicAPIApproximationAndLearning(t *testing.T) {
 	if len(terms) == 0 {
 		t.Fatal("no approximation terms")
 	}
-	combo := prf.PRFeCombo(d, prf.ApproxPRFeTerms(terms))
+	eng := prf.EngineFor(d)
+	combo := rankQ(t, eng, prf.Query{Metric: prf.MetricPRFeCombo, Terms: prf.ApproxPRFeTerms(terms)}).Complex
 	approx := prf.RankByValue(prf.RealParts(combo))
-	exact := prf.RankByValue(prf.PTh(d, 50))
+	exact := prf.RankByValue(rankQ(t, eng, prf.Query{Metric: prf.MetricPTh, H: 50}).Values)
 	if dist := prf.KendallTopK(approx.TopK(50), exact.TopK(50), 50); dist > 0.2 {
 		t.Fatalf("approximation distance %v", dist)
 	}
 	// Learn α back from a PRFe-generated ranking.
-	user := prf.RankPRFe(d, 0.9)
+	user := prfeRanking(t, eng, 0.9)
 	res := prf.LearnAlpha(d, user, 50, 8)
 	if res.Distance > 1e-9 {
 		t.Fatalf("LearnAlpha distance %v", res.Distance)
@@ -263,12 +282,12 @@ func TestPublicAPIMarkovNetwork(t *testing.T) {
 		t.Fatalf("rank distribution inconsistent with marginal: %v vs %v",
 			total, jt.VariableMarginal(0))
 	}
-	if _, err := prf.NetworkPRFe(net, complex(0.9, 0)); err != nil {
+	netEng, err := prf.EngineForNetwork(net)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prf.NetworkPRF(net, func(_ prf.Tuple, i int) float64 { return 1 / float64(i) }); err != nil {
-		t.Fatal(err)
-	}
+	rankQ(t, netEng, prf.Query{Metric: prf.MetricPRFe, Alpha: 0.9})
+	rankQ(t, netEng, prf.Query{Metric: prf.MetricPRF, Omega: func(_ prf.Tuple, i int) float64 { return 1 / float64(i) }})
 	// Chain model.
 	chain, err := prf.NewMarkovChain([]float64{3, 2},
 		[][2][2]float64{{{0.2, 0.3}, {0.1, 0.4}}})
@@ -398,7 +417,7 @@ func TestServeFacade(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	want := prf.RankPRFe(d, 0.5)
+	want := prfeRanking(t, prf.EngineFor(d), 0.5)
 	if len(got.Ranking) != len(want) {
 		t.Fatalf("ranking %v, want %v", got.Ranking, want)
 	}

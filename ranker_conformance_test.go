@@ -1,6 +1,7 @@
 // Conformance suite of the unified Ranker engine: for each of the four
 // backends, Engine.Rank / Engine.RankBatch answers must be bit-for-bit
-// identical to the legacy one-shot and prepared functions they subsume. The
+// identical to the per-backend one-shot and prepared kernels they dispatch
+// to, called directly. The
 // engine adds dispatch, validation and cancellation — never arithmetic —
 // and this suite is the certificate. Run under -race (CI does) the parallel
 // subtests additionally exercise concurrent batch queries over the shared
@@ -14,14 +15,16 @@ import (
 	"testing"
 
 	prf "repro"
+	"repro/internal/andxor"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/junction"
 )
 
-// conformance bundles one backend's engine with closures over the legacy
-// functions it must reproduce. Legacy closures are nil where no pre-engine
-// function existed (those capabilities are covered by cross-backend checks
-// instead).
+// conformance bundles one backend's engine with closures over the kernels
+// it must reproduce. Reference closures are nil where the backend has no
+// kernel outside the engine (those capabilities are covered by
+// cross-backend checks instead).
 type conformance struct {
 	name string
 	eng  *prf.Engine
@@ -68,29 +71,36 @@ func conformanceBackends(t *testing.T) []conformance {
 			name:     "independent",
 			eng:      prf.EngineFor(d),
 			n:        d.Len(),
-			prfe:     func(a complex128) []complex128 { return prf.PRFe(d, a) },
-			rankPRFe: func(a float64) prf.Ranking { return prf.RankPRFe(d, a) },
-			prfOmega: func(w []float64) []float64 { return prf.PRFOmega(d, w) },
-			pth:      func(h int) []float64 { return prf.PTh(d, h) },
-			prfFn:    func(omega prf.WeightFunc) []float64 { return prf.PRF(d, omega) },
+			prfe:     func(a complex128) []complex128 { return core.PRFe(d, a) },
+			rankPRFe: func(a float64) prf.Ranking { return core.RankPRFe(d, a) },
+			prfOmega: func(w []float64) []float64 { return core.PRFOmega(d, w) },
+			pth:      func(h int) []float64 { return core.PTh(d, h) },
+			prfFn:    func(omega prf.WeightFunc) []float64 { return core.PRF(d, omega) },
 			erank:    func() []float64 { return prf.ERank(d) },
-			combo:    func(terms []prf.ExpTerm) []complex128 { return prf.PRFeCombo(d, terms) },
+			combo:    func(terms []prf.ExpTerm) []complex128 { return core.PRFeCombo(d, terms) },
 		},
 		{
 			name:     "tree",
 			eng:      prf.EngineForTree(tree),
 			n:        tree.Len(),
-			prfe:     func(a complex128) []complex128 { return prf.TreePRFe(tree, a) },
-			rankPRFe: func(a float64) prf.Ranking { return prf.TreeRankPRFe(tree, a) },
-			prfOmega: func(w []float64) []float64 { return prf.TreePRFOmega(tree, w) },
-			pth:      func(h int) []float64 { return prf.TreePTh(tree, h) },
+			prfe:     func(a complex128) []complex128 { return andxor.PRFeValues(tree, a) },
+			rankPRFe: func(a float64) prf.Ranking { return andxor.RankPRFe(tree, a) },
+			prfOmega: func(w []float64) []float64 { return andxor.PRFOmega(tree, w) },
+			pth:      func(h int) []float64 { return andxor.PTh(tree, h) },
 			prfFn: func(omega prf.WeightFunc) []float64 {
-				return prf.TreePRF(tree, omega)
+				return andxor.PRF(tree, omega)
 			},
 			erank: func() []float64 { return prf.TreeExpectedRanks(tree) },
 			combo: func(terms []prf.ExpTerm) []complex128 {
+				// Σ_l u_l·PRFe(α_l), summed per tuple in term order.
 				us, alphas := toTreeCombo(terms)
-				return prf.TreePRFeCombo(tree, us, alphas)
+				out := make([]complex128, tree.Len())
+				for l := range us {
+					for i, v := range andxor.PRFeValues(tree, alphas[l]) {
+						out[i] += us[l] * v
+					}
+				}
+				return out
 			},
 		},
 		{
@@ -98,7 +108,7 @@ func conformanceBackends(t *testing.T) []conformance {
 			eng:  netEng,
 			n:    net.Len(),
 			prfe: func(a complex128) []complex128 {
-				vals, err := prf.NetworkPRFe(net, a)
+				vals, err := junction.PRFe(net, a)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,11 +122,11 @@ func conformanceBackends(t *testing.T) []conformance {
 				return pn.RankPRFe(a)
 			},
 			prfFn: func(omega prf.WeightFunc) []float64 {
-				vals, err := prf.NetworkPRF(net, omega)
+				pn, err := junction.PrepareNetwork(net)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return vals
+				return pn.PRF(omega)
 			},
 			erank: func() []float64 {
 				vals, err := prf.NetworkExpectedRanks(net)
