@@ -4,12 +4,11 @@
 //
 // Usage:
 //
-//	bench [-out BENCH_8.json] [-n 10000] [-grid 16] [-terms 20]
+//	bench -out BENCH_N.json [-n 10000] [-grid 16] [-terms 20]
 //	bench -smoke                      # run every workload once, tiny sizes
 //	bench -smoke -out ci.json         # quick-measured smoke report
 //	bench -diff OLD.json NEW.json     # regression gate (scripts/benchdiff.sh)
 //	bench -load-conc 32 -load-dur 2s  # size the load-generator arm
-//	bench -sharded-n 100000           # size the multi-core trajectory arms
 //	bench -out NEW.json -baseline OLD.json  # also record before/after pairs
 //
 // The workload bodies are shared with the root bench_test.go suite via
@@ -45,20 +44,11 @@
 //     latch (wall time for N identical cold requests, latch on vs off);
 //   - load: a vegeta-style closed-loop load generator (QPS, p50/p95/p99
 //     latency, allocated bytes per request under -load-conc concurrent
-//     clients for -load-dur) against the in-process fixture or -load-addr —
-//     a scalar mix and a Parallelism-knob mix, each recording its effective
-//     per-request parallelism;
-//   - sharded (PR 7): the shard-parallel kernels — the fused PT(h) ladder
-//     (every rung from one generating-function pass) per-h vs fused vs
-//     sharded, the lane-split log-domain PRFe kernel vs its scalar
-//     reference, prefix-resumed ERank shards, the Query.Parallelism engine
-//     sweep and the Section 5.2 α-learning loop. The same arms run again at
-//     forced GOMAXPROCS ∈ {1, 4, NumCPU} over an n=-sharded-n dataset — the
-//     multi-core trajectory sections ("multicore" in the JSON), whose
-//     headline is the sharded ladder at full parallelism against the per-h
-//     scalar baseline at one core. Every result records the GOMAXPROCS and
-//     shard parallelism it ran at, and -diff hard-compares only
-//     like-parallelism entries.
+//     clients for -load-dur) against the in-process fixture or -load-addr;
+//   - sharded: the PT(h) ladder answered one depth at a time, the
+//     log-domain PRFe kernel and the E-Rank prefix-sum kernel on the
+//     independent view (arm names kept from earlier reports), plus the
+//     Section 5.2 α-learning loop.
 //
 // Modes beyond the full measured run:
 //
@@ -97,19 +87,16 @@ import (
 	"repro/internal/store"
 )
 
-// Result is one measured benchmark case. GOMAXPROCS and Parallelism record
-// the effective concurrency the arm ran at — the runtime cap and the shard
-// worker count (0 = the scalar path) — so the regression gate can refuse to
-// hard-compare entries measured at different parallelism.
+// Result is one measured benchmark case. GOMAXPROCS records the runtime
+// cap the arm ran at.
 type Result struct {
-	Name        string  `json:"name"`
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	MsPerOp     float64 `json:"ms_per_op"`
-	AllocsOp    int64   `json:"allocs_per_op"`
-	BytesOp     int64   `json:"bytes_per_op"`
-	GOMAXPROCS  int     `json:"gomaxprocs,omitempty"`
-	Parallelism int     `json:"parallelism,omitempty"`
+	Name       string  `json:"name"`
+	Iters      int     `json:"iters"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	MsPerOp    float64 `json:"ms_per_op"`
+	AllocsOp   int64   `json:"allocs_per_op"`
+	BytesOp    int64   `json:"bytes_per_op"`
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
 }
 
 // Section is one measured run of the whole suite at one size
@@ -143,10 +130,6 @@ type Report struct {
 	Results    []Result           `json:"results"`
 	Speedups   map[string]float64 `json:"speedups"`
 	Load       *LoadReport        `json:"load,omitempty"`
-	// Multicore holds the sharded-kernel trajectory: the same arm set run
-	// at forced GOMAXPROCS settings (one section per setting) over the
-	// -sharded-n dataset, recording speedup-vs-cores.
-	Multicore []Section `json:"multicore,omitempty"`
 	// Store holds the persistent-store arms re-run at -store-n (the
 	// cold-open acceptance size), separate from the full-size section.
 	Store *Section `json:"store,omitempty"`
@@ -201,20 +184,12 @@ func pairArms(from string, old, cur Report) *Baseline {
 }
 
 // LoadReport is the load-generator block of the report: the hot dashboard
-// mix driven at -load-conc concurrency for -load-dur, in a scalar arm and a
-// Parallelism-knob arm. Each arm records the effective per-request shard
-// parallelism it asked for (0 = the scalar path), not just the
-// process-wide GOMAXPROCS.
+// mix driven at -load-conc concurrency for -load-dur.
 type LoadReport struct {
-	Addr              string               `json:"addr"`
-	Concurrency       int                  `json:"concurrency"`
-	GOMAXPROCS        int                  `json:"gomaxprocs,omitempty"`
-	HotMix            benchwork.LoadResult `json:"hot_mix"`
-	HotMixParallelism int                  `json:"hot_mix_parallelism"`
-	// ParallelMix is the same dashboard mix with the wire-level parallelism
-	// knob set on every request (the server clamps it to its own cap).
-	ParallelMix            benchwork.LoadResult `json:"parallel_mix"`
-	ParallelMixParallelism int                  `json:"parallel_mix_parallelism"`
+	Addr        string               `json:"addr"`
+	Concurrency int                  `json:"concurrency"`
+	GOMAXPROCS  int                  `json:"gomaxprocs,omitempty"`
+	HotMix      benchwork.LoadResult `json:"hot_mix"`
 }
 
 // measureFunc turns one workload body into a measurement; nil means smoke
@@ -261,10 +236,8 @@ func quickMeasure(name string, op func()) Result {
 func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 	sec := Section{N: n, GridPoints: grid, ComboTerms: terms, ChainN: chainN,
 		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Speedups: map[string]float64{}}
-	// addPar measures one arm and stamps the concurrency it ran at: the
-	// live GOMAXPROCS plus the arm's shard parallelism (0 = scalar path) —
-	// the like-parallelism identity the -diff gate keys on.
-	addPar := func(name string, par int, op func()) Result {
+	// add measures one arm and stamps the GOMAXPROCS it ran at.
+	add := func(name string, op func()) Result {
 		if meas == nil {
 			op()
 			fmt.Printf("%-44s ok\n", name)
@@ -272,13 +245,11 @@ func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 		}
 		r := meas(name, op)
 		r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-		r.Parallelism = par
 		sec.Results = append(sec.Results, r)
 		fmt.Printf("%-44s %12.3f ms/op  (%d iters, %d allocs/op)\n",
 			r.Name, r.MsPerOp, r.Iters, r.AllocsOp)
 		return r
 	}
-	add := func(name string, op func()) Result { return addPar(name, 0, op) }
 
 	d := benchwork.Dataset(n)
 	alphas, calphas := benchwork.Grid(grid)
@@ -358,20 +329,15 @@ func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 	add("engine/tree-value-sweep", func() { benchwork.EngineValueSweep(engTree, alphas) })
 
 	// Consensus-semantics arms (PR 8): the Global-Topk, Expected-Rank and
-	// Median-Rank metrics promoted to first-class engine dispatch, scalar
-	// and (for the sharded Expected-Rank kernel) at full parallelism.
-	semPar := runtime.GOMAXPROCS(0)
+	// Median-Rank metrics promoted to first-class engine dispatch.
 	add("semantics/globaltopk-ranking", func() {
-		benchwork.EngineSemanticRanking(engIndep, engine.MetricGlobalTopk, 10, 0)
+		benchwork.EngineSemanticRanking(engIndep, engine.MetricGlobalTopk, 10)
 	})
-	xrScalar := add("semantics/expectedrank-ranking", func() {
-		benchwork.EngineSemanticRanking(engIndep, engine.MetricExpectedRank, 10, 0)
-	})
-	xrShard := addPar("semantics/expectedrank-ranking-parallel", semPar, func() {
-		benchwork.EngineSemanticRanking(engIndep, engine.MetricExpectedRank, 10, semPar)
+	add("semantics/expectedrank-ranking", func() {
+		benchwork.EngineSemanticRanking(engIndep, engine.MetricExpectedRank, 10)
 	})
 	add("semantics/medianrank-ranking", func() {
-		benchwork.EngineSemanticRanking(engIndep, engine.MetricMedianRank, 10, 0)
+		benchwork.EngineSemanticRanking(engIndep, engine.MetricMedianRank, 10)
 	})
 
 	// Engine-level cache arms (PR 5): one dashboard refresh = the panel mix
@@ -385,21 +351,14 @@ func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 	dashUn := add("engine/dashboard", func() { benchwork.EngineDashboard(engIndep, dashQs, dashSweep) })
 	dashHot := add("engine/cached/dashboard", func() { benchwork.CachedDashboard(cachedEng, dashQs, dashSweep) })
 
-	// Sharded-kernel arms (PR 7), at the live GOMAXPROCS: the fused PT(h)
-	// ladder against the per-h scalar reference, the lane-split log-domain
-	// PRFe kernel, prefix-resumed ERank shards, the Query.Parallelism engine
-	// sweep and the Section 5.2 α-learning loop. The same kernel set re-runs
-	// at forced GOMAXPROCS settings in the multicore trajectory sections.
-	par := runtime.GOMAXPROCS(0)
+	// Independent-view kernel arms: the PT(h) ladder answered one depth at
+	// a time, the log-domain PRFe kernel, the E-Rank prefix-sum kernel and
+	// the Section 5.2 α-learning loop. The arm names are kept so the
+	// trajectory stays comparable with earlier reports.
 	hs := benchwork.Ladder(10, 10)
-	ldPerH := add("sharded/pth-ladder-perh", func() { benchwork.LadderPerH(v, hs) })
-	ldFused := addPar("sharded/pth-ladder-fused", 1, func() { benchwork.LadderFused(v, hs) })
-	ldShard := addPar("sharded/pth-ladder", par, func() { benchwork.LadderSharded(v, hs, par) })
-	lgScalar := add("sharded/prfelog-scalar", func() { benchwork.PRFeLogScalar(v, complex(0.95, 0)) })
-	lgLanes := addPar("sharded/prfelog-lanes", par, func() { benchwork.PRFeLogLanes(v, complex(0.95, 0), par) })
-	erScalar := add("sharded/erank-scalar", func() { benchwork.ERankScalar(v) })
-	erShard := addPar("sharded/erank", par, func() { benchwork.ERankShards(v, par) })
-	engPar := addPar("engine/parallel-rank-sweep", par, func() { benchwork.EngineParallelSweep(engIndep, alphas, par) })
+	add("sharded/pth-ladder-perh", func() { benchwork.LadderPerH(v, hs) })
+	add("sharded/prfelog-scalar", func() { benchwork.PRFeLogScalar(v, complex(0.95, 0)) })
+	add("sharded/erank-scalar", func() { benchwork.ERankScalar(v) })
 	learnUser := benchwork.LearnUserRanking(v)
 	add("learn/alpha-fit", func() { benchwork.LearnAlphaWorkload(v, learnUser, 10, 3) })
 
@@ -506,17 +465,6 @@ func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 	// single-flight win on the cold storm.
 	sec.Speedups["serve byte-cache sweep vs engine-cache"] = srvBatchEng.NsPerOp / srvBatchHot.NsPerOp
 	sec.Speedups["serve cached gzip sweep vs uncached"] = srvBatchUn.NsPerOp / srvBatchGz.NsPerOp
-	// Sharded-kernel headlines (PR 7): the fused ladder answers every rung
-	// from one pass; the sharded variants add per-shard prefix starts and
-	// the lane-split log kernel.
-	sec.Speedups["pth ladder fused vs per-h scalar"] = ldPerH.NsPerOp / ldFused.NsPerOp
-	sec.Speedups["pth ladder sharded vs per-h scalar"] = ldPerH.NsPerOp / ldShard.NsPerOp
-	sec.Speedups["prfe log lanes vs scalar"] = lgScalar.NsPerOp / lgLanes.NsPerOp
-	sec.Speedups["erank sharded vs scalar"] = erScalar.NsPerOp / erShard.NsPerOp
-	sec.Speedups["engine parallel sweep vs scalar sweep"] = engRank.NsPerOp / engPar.NsPerOp
-	// Consensus-semantics headline (PR 8): the sharded Expected-Rank kernel
-	// behind engine dispatch against its scalar path.
-	sec.Speedups["semantics expectedrank parallel vs scalar"] = xrScalar.NsPerOp / xrShard.NsPerOp
 	if n > 1000 {
 		// At smoke sizes a cold evaluation is cheaper than an HTTP round
 		// trip, so the storm ratio is connection noise — recording it
@@ -605,103 +553,9 @@ func runStoreArms(n int, add func(name string, op func()) Result,
 	speedups["store cold topk file bytes over bytes read"+keySuffix] = readFraction
 }
 
-// multicoreSettings returns the forced-GOMAXPROCS trajectory points
-// {1, 4, NumCPU}, deduplicated and sorted — the speedup-vs-cores axis. On a
-// single-core box the 4-way point still runs (oversubscribed), so the
-// trajectory always exercises the cross-shard merge under real scheduling.
-func multicoreSettings() []int {
-	set := map[int]bool{1: true, 4: true, runtime.NumCPU(): true}
-	out := make([]int, 0, len(set))
-	for g := range set {
-		out = append(out, g)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// runMulticore measures the sharded kernel set at each forced GOMAXPROCS
-// setting over an n-element dataset — one section per setting. The scalar
-// baselines re-measure inside every section, so each section's speedups are
-// internal (both sides ran at the same GOMAXPROCS); the cross-core
-// headlines are assembled by multicoreHeadlines from the per-section
-// results.
-func runMulticore(n int, hs []int, meas measureFunc) []Section {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	v := core.Prepare(benchwork.Dataset(n))
-	var sections []Section
-	for _, gmp := range multicoreSettings() {
-		runtime.GOMAXPROCS(gmp)
-		fmt.Printf("\nmulticore trajectory: GOMAXPROCS=%d, n=%d, %d rungs\n", gmp, n, len(hs))
-		sec := Section{N: n, GridPoints: len(hs), GOMAXPROCS: gmp,
-			NumCPU: runtime.NumCPU(), Speedups: map[string]float64{}}
-		add := func(name string, par int, op func()) Result {
-			if meas == nil {
-				op()
-				fmt.Printf("%-44s ok\n", name)
-				return Result{Name: name}
-			}
-			r := meas(name, op)
-			r.GOMAXPROCS = gmp
-			r.Parallelism = par
-			sec.Results = append(sec.Results, r)
-			fmt.Printf("%-44s %12.3f ms/op  (%d iters, %d allocs/op)\n",
-				r.Name, r.MsPerOp, r.Iters, r.AllocsOp)
-			return r
-		}
-		ldPerH := add("sharded/pth-ladder-perh", 0, func() { benchwork.LadderPerH(v, hs) })
-		ldFused := add("sharded/pth-ladder-fused", 1, func() { benchwork.LadderFused(v, hs) })
-		ldShard := add("sharded/pth-ladder", gmp, func() { benchwork.LadderSharded(v, hs, gmp) })
-		lgScalar := add("sharded/prfelog-scalar", 0, func() { benchwork.PRFeLogScalar(v, complex(0.95, 0)) })
-		lgLanes := add("sharded/prfelog-lanes", gmp, func() { benchwork.PRFeLogLanes(v, complex(0.95, 0), gmp) })
-		erScalar := add("sharded/erank-scalar", 0, func() { benchwork.ERankScalar(v) })
-		erShard := add("sharded/erank", gmp, func() { benchwork.ERankShards(v, gmp) })
-		if meas != nil {
-			sec.Speedups["pth ladder fused vs per-h scalar"] = ldPerH.NsPerOp / ldFused.NsPerOp
-			sec.Speedups["pth ladder sharded vs per-h scalar"] = ldPerH.NsPerOp / ldShard.NsPerOp
-			sec.Speedups["prfe log lanes vs scalar"] = lgScalar.NsPerOp / lgLanes.NsPerOp
-			sec.Speedups["erank sharded vs scalar"] = erScalar.NsPerOp / erShard.NsPerOp
-		}
-		sections = append(sections, sec)
-	}
-	return sections
-}
-
-// multicoreHeadlines folds the trajectory into the report's speedup map:
-// each sharded kernel at full parallelism (the NumCPU section) against its
-// scalar baseline measured at GOMAXPROCS=1 — the headline the perf
-// trajectory gates on.
-func multicoreHeadlines(sections []Section, speedups map[string]float64) {
-	find := func(gmp int, name string) float64 {
-		for _, s := range sections {
-			if s.GOMAXPROCS != gmp {
-				continue
-			}
-			for _, r := range s.Results {
-				if r.Name == name {
-					return r.NsPerOp
-				}
-			}
-		}
-		return 0
-	}
-	top := runtime.NumCPU()
-	for _, p := range []struct{ key, scalar, sharded string }{
-		{"pth ladder sharded@numcpu vs per-h scalar@1", "sharded/pth-ladder-perh", "sharded/pth-ladder"},
-		{"prfe log lanes@numcpu vs scalar@1", "sharded/prfelog-scalar", "sharded/prfelog-lanes"},
-		{"erank sharded@numcpu vs scalar@1", "sharded/erank-scalar", "sharded/erank"},
-	} {
-		base := find(1, p.scalar)
-		fast := find(top, p.sharded)
-		if base > 0 && fast > 0 {
-			speedups[p.key] = base / fast
-		}
-	}
-}
-
 func main() {
 	var (
-		out       = flag.String("out", "", "output JSON path (default BENCH_8.json; in -smoke mode: no file unless set)")
+		out       = flag.String("out", "", "output JSON path (required for a full run; in -smoke mode: no file unless set)")
 		n         = flag.Int("n", 10000, "dataset size")
 		grid      = flag.Int("grid", 16, "α grid points for the spectrum sweeps")
 		terms     = flag.Int("terms", 20, "terms in the PRFe combination")
@@ -713,7 +567,6 @@ func main() {
 		loadConc  = flag.Int("load-conc", 32, "load arm: concurrent clients")
 		loadDur   = flag.Duration("load-dur", 2*time.Second, "load arm: run duration (0 disables the load arm)")
 		loadAddr  = flag.String("load-addr", "", "load arm: external server base URL (default: in-process fixture)")
-		shardedN  = flag.Int("sharded-n", 100000, "multi-core trajectory: dataset size for the sharded kernel arms (0 disables)")
 		storeN    = flag.Int("store-n", 100000, "persistent-store trajectory: dataset size for the cold-open arms (0 disables)")
 		baseline  = flag.String("baseline", "", "full run: an earlier report measured on this host (e.g. of the parent commit); every shared full-size and store arm is recorded as a before/after pair")
 	)
@@ -733,28 +586,22 @@ func main() {
 
 	const smokeN, smokeGrid, smokeTerms, smokeChain = 400, 4, 6, 32
 
-	// The smoke-size multicore trajectory: a short ladder on a small
-	// dataset, still sweeping every forced-GOMAXPROCS point.
-	smokeHs := benchwork.Ladder(4, 2)
-
 	if *smoke {
 		if *out == "" {
 			runSuite(smokeN, smokeGrid, smokeTerms, smokeChain, nil)
-			runMulticore(smokeN, smokeHs, nil)
 			fmt.Println("\nsmoke ok: all workloads ran")
 			return
 		}
 		sec := runSuite(smokeN, smokeGrid, smokeTerms, smokeChain, quickMeasure)
 		report := newReport(sec)
-		report.Multicore = runMulticore(smokeN, smokeHs, quickMeasure)
-		multicoreHeadlines(report.Multicore, report.Speedups)
 		report.Smoke = &sec
 		writeReport(report, *out)
 		return
 	}
 
 	if *out == "" {
-		*out = "BENCH_8.json"
+		fmt.Fprintln(os.Stderr, "bench: a full run needs -out PATH (scripts/bench.sh passes the next BENCH_N.json)")
+		os.Exit(2)
 	}
 	var old Report
 	if *baseline != "" {
@@ -766,11 +613,6 @@ func main() {
 	}
 	sec := runSuite(*n, *grid, *terms, *chainN, fullMeasure)
 	report := newReport(sec)
-	if *shardedN > 0 {
-		fmt.Printf("\nmulti-core trajectory at n=%d…\n", *shardedN)
-		report.Multicore = runMulticore(*shardedN, benchwork.Ladder(10, 10), fullMeasure)
-		multicoreHeadlines(report.Multicore, report.Speedups)
-	}
 	if *storeN > 0 {
 		fmt.Printf("\npersistent-store trajectory at n=%d…\n", *storeN)
 		ssec := Section{N: *storeN, GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -796,17 +638,10 @@ func main() {
 		fmt.Printf("%-44s %10.0f qps  p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  %d B/req (%d reqs, %d errors)\n",
 			"load/hot-mix", lr.HotMix.QPS, lr.HotMix.P50MS, lr.HotMix.P95MS, lr.HotMix.P99MS,
 			int64(lr.HotMix.AllocPerReq), lr.HotMix.Requests, lr.HotMix.Errors)
-		fmt.Printf("%-44s %10.0f qps  p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  %d B/req (%d reqs, %d errors, parallelism %d)\n",
-			"load/parallel-mix", lr.ParallelMix.QPS, lr.ParallelMix.P50MS, lr.ParallelMix.P95MS, lr.ParallelMix.P99MS,
-			int64(lr.ParallelMix.AllocPerReq), lr.ParallelMix.Requests, lr.ParallelMix.Errors, lr.ParallelMixParallelism)
 	}
 	fmt.Println("\nquick-measuring the smoke-size section for the regression gate…")
 	smokeSec := runSuite(smokeN, smokeGrid, smokeTerms, smokeChain, quickMeasure)
 	report.Smoke = &smokeSec
-	// Smoke-size multicore sections ride along too (after the headline
-	// extraction above, which only reads the full-size sections), so a CI
-	// smoke run always finds a same-size like-parallelism baseline.
-	report.Multicore = append(report.Multicore, runMulticore(smokeN, smokeHs, quickMeasure)...)
 	if *baseline != "" {
 		report.Baseline = pairArms(*baseline, old, report)
 		fmt.Printf("\nbefore/after against %s:\n", *baseline)
@@ -835,27 +670,15 @@ func runLoadArm(addr string, conc int, dur time.Duration, n, grid int) LoadRepor
 		{URL: base + "/rank", Body: benchwork.ServeRankBody("bench", 0.5, 10)},
 		{URL: base + "/rankbatch", Body: benchwork.ServeBatchBody("bench", grid)},
 	}
-	// The knob mix is the same dashboard with per-request shard
-	// parallelism requested; the report records the effective value per
-	// arm, not just the process-wide GOMAXPROCS.
-	par := runtime.GOMAXPROCS(0)
-	parMix := []benchwork.LoadRequest{
-		{URL: base + "/rank", Body: benchwork.ServeRankBodyParallel("bench", 0.95, 10, par)},
-		{URL: base + "/rank", Body: benchwork.ServeRankBodyParallel("bench", 0.5, 10, par)},
-		{URL: base + "/rankbatch", Body: benchwork.ServeBatchBodyParallel("bench", grid, par)},
-	}
 	label := addr
 	if label == "" {
 		label = "in-process"
 	}
 	return LoadReport{
-		Addr:                   label,
-		Concurrency:            conc,
-		GOMAXPROCS:             runtime.GOMAXPROCS(0),
-		HotMix:                 benchwork.RunLoad(mix, conc, dur),
-		HotMixParallelism:      0,
-		ParallelMix:            benchwork.RunLoad(parMix, conc, dur),
-		ParallelMixParallelism: par,
+		Addr:        label,
+		Concurrency: conc,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		HotMix:      benchwork.RunLoad(mix, conc, dur),
 	}
 }
 
@@ -956,35 +779,6 @@ func runDiff(oldPath, newPath string, warnRatio, failRatio float64) error {
 	}
 	failed := diffSpeedups(oldSec.Speedups, newSec.Speedups, sameSizes, warnRatio, failRatio)
 
-	// Multi-core trajectory sections obey the like-parallelism rule: a new
-	// section hard-compares ONLY against the old section at the same forced
-	// GOMAXPROCS — sharded-vs-scalar ratios shift with core count, so any
-	// other pairing is apples-to-oranges and demotes to a warning.
-	oldByGmp := map[int][]Section{}
-	for _, s := range oldRep.Multicore {
-		oldByGmp[s.GOMAXPROCS] = append(oldByGmp[s.GOMAXPROCS], s)
-	}
-	for _, ns := range newRep.Multicore {
-		candidates, ok := oldByGmp[ns.GOMAXPROCS]
-		if !ok {
-			fmt.Printf("\n::warning::bench gate: multicore section GOMAXPROCS=%d has no like-parallelism baseline — skipped\n",
-				ns.GOMAXPROCS)
-			continue
-		}
-		// Full reports carry both a full-size and a smoke-size section per
-		// GOMAXPROCS; prefer the same-size one so the comparison gates hard.
-		os := candidates[0]
-		for _, c := range candidates {
-			if c.N == ns.N && c.GridPoints == ns.GridPoints {
-				os = c
-				break
-			}
-		}
-		mcSame := os.N == ns.N && os.GridPoints == ns.GridPoints && os.NumCPU == ns.NumCPU
-		fmt.Printf("\nmulticore GOMAXPROCS=%d (n=%d → n=%d%s):\n", ns.GOMAXPROCS, os.N, ns.N,
-			map[bool]string{true: "", false: ", sizes differ — warn-only"}[mcSame])
-		failed = append(failed, diffSpeedups(os.Speedups, ns.Speedups, mcSame, warnRatio, failRatio)...)
-	}
 	if sameSizes {
 		oldByName := map[string]Result{}
 		for _, r := range oldSec.Results {
@@ -994,15 +788,6 @@ func runDiff(oldPath, newPath string, warnRatio, failRatio float64) error {
 		for _, nr := range newSec.Results {
 			or, ok := oldByName[nr.Name]
 			if !ok || or.NsPerOp <= 0 || nr.NsPerOp <= 0 {
-				continue
-			}
-			// Like-parallelism rule at the entry level too: an arm whose
-			// recorded GOMAXPROCS or shard parallelism changed is not the
-			// same measurement (legacy reports carry zeros and still match).
-			if or.GOMAXPROCS != 0 && nr.GOMAXPROCS != 0 &&
-				(or.GOMAXPROCS != nr.GOMAXPROCS || or.Parallelism != nr.Parallelism) {
-				fmt.Printf("::warning::bench gate: %q measured at unlike parallelism (GOMAXPROCS %d→%d, shards %d→%d) — timing skipped\n",
-					nr.Name, or.GOMAXPROCS, nr.GOMAXPROCS, or.Parallelism, nr.Parallelism)
 				continue
 			}
 			ratio := nr.NsPerOp / or.NsPerOp

@@ -105,7 +105,7 @@ func (pt *PreparedTree) prfeBatchCtx(ctx context.Context, alphas []complex128) (
 		}
 		return out, nil
 	}
-	workers := par.WorkersFor(ctx, len(alphas))
+	workers := par.Workers(len(alphas))
 	evals := make([]*prfeEval, workers)
 	err := par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
 		if evals[w] == nil {
@@ -139,7 +139,7 @@ func (pt *PreparedTree) RankPRFe(alpha float64) pdb.Ranking {
 // points.
 func (pt *PreparedTree) rankBatch(ctx context.Context, alphas []float64, emit func(a int, r pdb.Ranking)) error {
 	n := pt.Len()
-	workers := par.WorkersFor(ctx, len(alphas))
+	workers := par.Workers(len(alphas))
 	evals := make([]*prfeEval, workers)
 	vals := make([][]complex128, workers)
 	abs := make([][]float64, workers)

@@ -24,6 +24,7 @@ import (
 	"repro/internal/dftapprox"
 	"repro/internal/engine"
 	"repro/internal/junction"
+	"repro/internal/learn"
 	"repro/internal/pdb"
 	"repro/internal/serve"
 )
@@ -366,10 +367,10 @@ func EngineValueSweep(e *engine.Engine, alphas []float64) {
 }
 
 // EngineSemanticRanking answers one consensus-semantics ranking query —
-// Global-Topk, Expected-Rank or Median-Rank — through Engine.Rank, at the
-// given shard parallelism (0 = scalar path). One op = one full ranking.
-func EngineSemanticRanking(e *engine.Engine, m engine.Metric, k, par int) {
-	q := engine.Query{Metric: m, Output: engine.OutputRanking, Parallelism: par}
+// Global-Topk, Expected-Rank or Median-Rank — through Engine.Rank. One op =
+// one full ranking.
+func EngineSemanticRanking(e *engine.Engine, m engine.Metric, k int) {
+	q := engine.Query{Metric: m, Output: engine.OutputRanking}
 	if m == engine.MetricGlobalTopk {
 		q.K = k
 	}
@@ -594,4 +595,49 @@ func ComboParallel(v *core.Prepared, terms []core.ExpTerm) {
 // (prepare per call).
 func ComboOneShot(d *pdb.Dataset, terms []core.ExpTerm) {
 	core.PRFeCombo(d, terms)
+}
+
+// Ladder returns the PT(h) rung set {step, 2·step, …, count·step} used by
+// the ladder workload — the Figure 9 style depth sweep.
+func Ladder(count, step int) []int {
+	hs := make([]int, count)
+	for i := range hs {
+		hs[i] = (i + 1) * step
+	}
+	return hs
+}
+
+// LadderPerH answers every rung with the per-h PT(h) kernel: one full
+// generating-function pass per h (one op = the whole ladder).
+func LadderPerH(v *core.Prepared, hs []int) {
+	for _, h := range hs {
+		v.PTh(h)
+	}
+}
+
+// PRFeLogScalar evaluates the log-domain PRFe kernel (two logs + a complex
+// magnitude per element).
+func PRFeLogScalar(v *core.Prepared, alpha complex128) {
+	v.PRFeLog(alpha)
+}
+
+// ERankScalar evaluates expected rank with the sequential prefix-sum kernel.
+func ERankScalar(v *core.Prepared) {
+	v.ERank()
+}
+
+// LearnUserRanking fabricates the deterministic "user" preference ranking
+// for the learning workload: the PRFe(0.7) order of the sample, which the
+// α search must recover.
+func LearnUserRanking(v *core.Prepared) pdb.Ranking {
+	return v.RankPRFe(0.7)
+}
+
+// LearnAlphaWorkload fits PRFe's α to the user ranking by the Section 5.2
+// recursive grid refinement over the engine's Ranker interface — the
+// learning workload arm (one op = the full multi-round search).
+func LearnAlphaWorkload(v *core.Prepared, user pdb.Ranking, k, iters int) {
+	if _, err := learn.LearnAlphaRanker(context.Background(), v, user, k, iters); err != nil {
+		panic(err)
+	}
 }

@@ -143,7 +143,8 @@ func TestPRFOmegaMatchesPRF(t *testing.T) {
 	}
 }
 
-// PT(h) values must equal Σ_{j≤h} Pr(r(t)=j) from enumeration.
+// PT(h) values must equal Σ_{j≤h} Pr(r(t)=j) from enumeration, including
+// the h = 0 depth (everywhere zero) and depths past n (saturated).
 func TestPThMatchesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := randDataset(rng, 8)
@@ -152,7 +153,7 @@ func TestPThMatchesEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := pdb.RankDistributionFromWorlds(worlds, 8)
-	for _, h := range []int{1, 3, 8} {
+	for _, h := range []int{0, 1, 3, 8, 15} {
 		got := PTh(d, h)
 		for id := 0; id < 8; id++ {
 			var want float64
@@ -162,6 +163,12 @@ func TestPThMatchesEnumeration(t *testing.T) {
 			if math.Abs(got[id]-want) > 1e-9 {
 				t.Fatalf("h=%d id=%d: got %v want %v", h, id, got[id], want)
 			}
+		}
+	}
+	full, past := PTh(d, 8), PTh(d, 15)
+	for id := range full {
+		if past[id] != full[id] {
+			t.Fatalf("id=%d: PT(15) = %v but PT(n=8) = %v", id, past[id], full[id])
 		}
 	}
 }

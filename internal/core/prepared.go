@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/exact"
 	"repro/internal/par"
@@ -30,44 +29,6 @@ type Prepared struct {
 	ids    []pdb.TupleID // sorted position -> original tuple ID
 	scores []float64     // non-increasing
 	probs  []float64
-
-	// aux holds the lazily built prepare-time aggregates the sharded and
-	// lane-split kernels (shard.go, lanes.go) consume: per-position log
-	// probabilities and the exact sequential probability prefix sums. Built
-	// once on first parallel query; plain scans never pay for it.
-	aux shardAux
-}
-
-// shardAux is the lazily materialized sharded-kernel support data.
-type shardAux struct {
-	once sync.Once
-	// logProbs[i] = log p_i in sorted order (-Inf where p_i = 0), hoisting
-	// one of the two logarithms out of every log-domain kernel element.
-	logProbs []float64
-	// probPrefix[i] = p_0 + … + p_{i−1} accumulated in the exact sequential
-	// order the scalar prefix-sum kernels (ERank, PRFl) use, so a shard
-	// starting at position i resumes from a bit-identical partial sum.
-	// probPrefix[n] is the full Σp — bit-identical to ExpectedWorldSize().
-	probPrefix []float64
-}
-
-// shardData returns the lazily built aggregates, materializing them on
-// first use. Safe for concurrent callers.
-func (v *Prepared) shardData() *shardAux {
-	a := &v.aux
-	a.once.Do(func() {
-		n := len(v.probs)
-		a.logProbs = make([]float64, n)
-		a.probPrefix = make([]float64, n+1)
-		sum := 0.0
-		for i, p := range v.probs {
-			a.logProbs[i] = math.Log(p)
-			a.probPrefix[i] = sum
-			sum += p
-		}
-		a.probPrefix[n] = sum
-	})
-	return a
 }
 
 // Prepare builds the sorted view of a dataset. If the dataset already
@@ -367,17 +328,6 @@ func (v *Prepared) ExpectedRank() []float64 {
 	return out
 }
 
-// ExpectedRankSharded is ExpectedRank over the sharded ERank kernel (which
-// is bit-for-bit equal to the scalar one at every worker count; the (1−p)
-// shift is per-element, so this variant is too).
-func (v *Prepared) ExpectedRankSharded(workers int) []float64 {
-	out := v.ERankSharded(workers)
-	for i := 0; i < v.Len(); i++ {
-		out[v.ids[i]] += 1 - v.probs[i]
-	}
-	return out
-}
-
 // MedianRank returns the consensus median rank per tuple: the smallest j
 // with Pr(r(t) ≤ j) ≥ 1/2 under the absent-→-∞ convention, or the sentinel
 // n+1 when the tuple is absent from a majority of worlds. One generating-
@@ -638,7 +588,7 @@ func (v *Prepared) PRFeLogBatch(alphas []complex128) [][]float64 {
 // batch, so the per-query allocations are the output rankings alone.
 func (v *Prepared) rankPRFeParallelCtx(ctx context.Context, alphas []float64) ([]pdb.Ranking, error) {
 	out := make([]pdb.Ranking, len(alphas))
-	workers := par.WorkersFor(ctx, len(alphas))
+	workers := par.Workers(len(alphas))
 	vals := make([][]float64, workers)
 	err := par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
 		vals[w] = v.PRFeLogInto(complex(alphas[a], 0), vals[w])

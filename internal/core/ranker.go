@@ -16,12 +16,6 @@ import (
 // kinetic sweep (one sort plus Theorem 4 crossings), other batches fan out
 // per α across GOMAXPROCS workers, and single queries run the fused scans
 // directly.
-//
-// A context parallelism cap (par.WithLimit, set by engine.Query.Parallelism)
-// switches single-query dispatch onto the sharded evaluation layer
-// (shard.go) with that many shards and clamps the batch fan-outs to that
-// many workers. No cap (the default) keeps the exact legacy scalar kernels,
-// preserving the engine's bit-for-bit conformance certification.
 
 // QueryPRFe evaluates Υ_α per TupleID. Identical to PRFe.
 func (v *Prepared) QueryPRFe(ctx context.Context, alpha complex128) ([]complex128, error) {
@@ -30,9 +24,6 @@ func (v *Prepared) QueryPRFe(ctx context.Context, alpha complex128) ([]complex12
 	}
 	if err := pdb.CtxErr(ctx); err != nil {
 		return nil, err
-	}
-	if p := par.Limit(ctx); p > 0 {
-		return v.PRFeSharded(alpha, p), nil
 	}
 	return v.PRFe(alpha), nil
 }
@@ -44,7 +35,7 @@ func (v *Prepared) QueryPRFeBatch(ctx context.Context, alphas []complex128) ([][
 		return nil, err
 	}
 	out := make([][]complex128, len(alphas))
-	err := par.ForWorkersCtx(ctx, par.WorkersFor(ctx, len(alphas)), len(alphas), func(_, a int) {
+	err := par.ForWorkersCtx(ctx, par.Workers(len(alphas)), len(alphas), func(_, a int) {
 		out[a] = v.PRFe(alphas[a])
 	})
 	if err != nil {
@@ -61,9 +52,6 @@ func (v *Prepared) QueryRankPRFe(ctx context.Context, alpha float64) (pdb.Rankin
 	}
 	if err := pdb.CtxErr(ctx); err != nil {
 		return nil, err
-	}
-	if p := par.Limit(ctx); p > 0 {
-		return v.RankPRFeSharded(alpha, p), nil
 	}
 	return v.RankPRFe(alpha), nil
 }
@@ -117,9 +105,6 @@ func (v *Prepared) QueryPRFeCombo(ctx context.Context, us, alphas []complex128) 
 	for i := range us {
 		terms[i] = ExpTerm{U: us[i], Alpha: alphas[i]}
 	}
-	if p := par.Limit(ctx); p > 0 {
-		return v.PRFeComboSharded(terms, p), nil
-	}
 	return v.PRFeCombo(terms), nil
 }
 
@@ -143,9 +128,6 @@ func (v *Prepared) QueryPRFOmega(ctx context.Context, w []float64) ([]float64, e
 	if err := pdb.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if p := par.Limit(ctx); p > 0 {
-		return v.PRFOmegaSharded(w, p), nil
-	}
 	return v.PRFOmega(w), nil
 }
 
@@ -157,9 +139,6 @@ func (v *Prepared) QueryPTh(ctx context.Context, h int) ([]float64, error) {
 	if err := pdb.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if p := par.Limit(ctx); p > 0 {
-		return v.PThSharded(h, p), nil
-	}
 	return v.PTh(h), nil
 }
 
@@ -169,29 +148,20 @@ func (v *Prepared) QueryERank(ctx context.Context) ([]float64, error) {
 	if err := pdb.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if p := par.Limit(ctx); p > 0 {
-		return v.ERankSharded(p), nil
-	}
 	return v.ERank(), nil
 }
 
 // QueryExpectedRank returns the consensus expected rank (absent → |pw|+1)
-// per tuple. Identical to ExpectedRank; both dispatch arms are bit-for-bit
-// equal (the sharded ERank kernel is exact at every worker count).
+// per tuple. Identical to ExpectedRank.
 func (v *Prepared) QueryExpectedRank(ctx context.Context) ([]float64, error) {
 	if err := pdb.CtxErr(ctx); err != nil {
 		return nil, err
-	}
-	if p := par.Limit(ctx); p > 0 {
-		return v.ExpectedRankSharded(p), nil
 	}
 	return v.ExpectedRank(), nil
 }
 
 // QueryMedianRank returns the consensus median rank per tuple. Identical to
-// MedianRank. The parallelism cap is accepted but does not change dispatch:
-// the kernel's early-exit cumulative scan has no sharded variant, and the
-// cap is an upper bound, not a mandate.
+// MedianRank.
 func (v *Prepared) QueryMedianRank(ctx context.Context) ([]float64, error) {
 	if err := pdb.CtxErr(ctx); err != nil {
 		return nil, err

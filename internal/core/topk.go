@@ -197,7 +197,7 @@ func (v *Prepared) topKPRFeCertified(ctx context.Context, alphas []float64, k in
 // when α ∈ (0, 1) and is an exact O(n log k) scan otherwise.
 func (v *Prepared) topKPRFeParallelCtx(ctx context.Context, alphas []float64, k int) ([]pdb.Ranking, error) {
 	out := make([]pdb.Ranking, len(alphas))
-	err := par.ForWorkersCtx(ctx, par.WorkersFor(ctx, len(alphas)), len(alphas), func(_, a int) {
+	err := par.ForWorkersCtx(ctx, par.Workers(len(alphas)), len(alphas), func(_, a int) {
 		out[a], _ = v.topKPRFeSelect(alphas[a], k, v.Len())
 	})
 	if err != nil {

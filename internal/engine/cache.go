@@ -36,26 +36,15 @@ import (
 //
 // MetricPRF queries are not cacheable — their Omega field is an arbitrary
 // Go function whose behavior has no canonical encoding — and neither is a
-// query with no Metric or a negative Parallelism (invalid; encoding only
-// positive values keeps pre-knob keys stable, so without this guard a
-// negative knob would alias the scalar key and a warm cache could answer a
-// request that validation must reject). Everything else is.
+// query with no Metric. Everything else is.
 func (q Query) CacheKey() (string, bool) {
-	if q.Metric == 0 || q.Metric == MetricPRF || q.Omega != nil || q.Parallelism < 0 {
+	if q.Metric == 0 || q.Metric == MetricPRF || q.Omega != nil {
 		return "", false
 	}
 	// Worst case: metric+output+alpha plus 17 bytes per grid/weight/term
 	// float. One allocation for typical queries.
 	buf := make([]byte, 0, 64+17*(len(q.Alphas)+len(q.Weights)+4*len(q.Terms)))
 	buf = append(buf, 'm', byte('0'+q.Metric), 'o', byte('0'+q.Output))
-	if q.Parallelism > 0 {
-		// Sharded kernels are certified within 1e-12 of scalar, not equal
-		// to it, so each knob setting caches separately; the zero value
-		// adds nothing, keeping every pre-knob key (and cached entry)
-		// byte-identical.
-		buf = append(buf, 'p')
-		buf = strconv.AppendInt(buf, int64(q.Parallelism), 16)
-	}
 	buf = appendF64(buf, 'a', q.Alpha)
 	if q.Output == OutputTopK || q.Metric == MetricGlobalTopk {
 		// K only affects top-k answers — except under Global-Topk, where K

@@ -28,8 +28,7 @@ import (
 var updateCacheKeys = flag.Bool("update-cachekeys", false, "rewrite testdata/cachekeys.golden")
 
 // goldenQueries is the canonical matrix: every cacheable metric at every
-// output form with representative parameters, plus the Parallelism knob and
-// grid/top-k variants. Names are stable identifiers, one golden line each.
+// output form with representative parameters, plus grid/top-k variants. Names are stable identifiers, one golden line each.
 func goldenQueries() []struct {
 	name string
 	q    Query
@@ -46,7 +45,6 @@ func goldenQueries() []struct {
 		{"prfe/ranking", Query{Metric: MetricPRFe, Alpha: 0.85, Output: OutputRanking}},
 		{"prfe/topk", Query{Metric: MetricPRFe, Alpha: 0.85, Output: OutputTopK, K: 10}},
 		{"prfe/grid", Query{Metric: MetricPRFe, Alphas: []float64{0.25, 0.5, 0.75}}},
-		{"prfe/parallel", Query{Metric: MetricPRFe, Alpha: 0.85, Parallelism: 4}},
 		{"prfomega/values", Query{Metric: MetricPRFOmega, Weights: []float64{3, 2, 1}}},
 		{"prfomega/ranking", Query{Metric: MetricPRFOmega, Weights: []float64{3, 2, 1}, Output: OutputRanking}},
 		{"pth/values", Query{Metric: MetricPTh, H: 7}},
@@ -62,7 +60,6 @@ func goldenQueries() []struct {
 		{"expectedrank/values", Query{Metric: MetricExpectedRank}},
 		{"expectedrank/ranking", Query{Metric: MetricExpectedRank, Output: OutputRanking}},
 		{"expectedrank/topk", Query{Metric: MetricExpectedRank, Output: OutputTopK, K: 4}},
-		{"expectedrank/parallel", Query{Metric: MetricExpectedRank, Parallelism: 4}},
 		{"medianrank/values", Query{Metric: MetricMedianRank}},
 		{"medianrank/ranking", Query{Metric: MetricMedianRank, Output: OutputRanking}},
 		{"medianrank/topk", Query{Metric: MetricMedianRank, Output: OutputTopK, K: 4}},
@@ -104,9 +101,9 @@ func TestCacheKeyGolden(t *testing.T) {
 }
 
 // TestCachedEngineSemanticsRoundTrip certifies the new metrics across the
-// cache: for every metric × output × Parallelism the cached answer (miss
-// and hit) equals the uncached one, and mutating a returned result never
-// corrupts later hits.
+// cache: for every metric × output the cached answer (miss and hit) equals
+// the uncached one, and mutating a returned result never corrupts later
+// hits.
 func TestCachedEngineSemanticsRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	e := New(core.Prepare(datagen.IIPLike(64, 17)))
@@ -123,35 +120,31 @@ func TestCachedEngineSemanticsRoundTrip(t *testing.T) {
 		{Metric: MetricMedianRank, Output: OutputRanking},
 		{Metric: MetricMedianRank, Output: OutputTopK, K: 6},
 	}
-	for _, base := range queries {
-		for _, p := range []int{0, 1, 4} {
-			q := base
-			q.Parallelism = p
-			want, err := e.Rank(ctx, q)
-			if err != nil {
-				t.Fatalf("%v/%v P=%d uncached: %v", q.Metric, q.Output, p, err)
-			}
-			miss, err := ce.Rank(ctx, q)
-			if err != nil {
-				t.Fatalf("%v/%v P=%d miss: %v", q.Metric, q.Output, p, err)
-			}
-			if !reflect.DeepEqual(miss, want) {
-				t.Fatalf("%v/%v P=%d: cache miss differs from uncached", q.Metric, q.Output, p)
-			}
-			// Vandalize the returned copy: later hits must be unaffected.
-			for i := range miss.Values {
-				miss.Values[i] = rng.Float64()
-			}
-			for i := range miss.Ranking {
-				miss.Ranking[i] = 0
-			}
-			hit, err := ce.Rank(ctx, q)
-			if err != nil {
-				t.Fatalf("%v/%v P=%d hit: %v", q.Metric, q.Output, p, err)
-			}
-			if !reflect.DeepEqual(hit, want) {
-				t.Fatalf("%v/%v P=%d: cache hit differs from uncached (mutation leaked)", q.Metric, q.Output, p)
-			}
+	for _, q := range queries {
+		want, err := e.Rank(ctx, q)
+		if err != nil {
+			t.Fatalf("%v/%v uncached: %v", q.Metric, q.Output, err)
+		}
+		miss, err := ce.Rank(ctx, q)
+		if err != nil {
+			t.Fatalf("%v/%v miss: %v", q.Metric, q.Output, err)
+		}
+		if !reflect.DeepEqual(miss, want) {
+			t.Fatalf("%v/%v: cache miss differs from uncached", q.Metric, q.Output)
+		}
+		// Vandalize the returned copy: later hits must be unaffected.
+		for i := range miss.Values {
+			miss.Values[i] = rng.Float64()
+		}
+		for i := range miss.Ranking {
+			miss.Ranking[i] = 0
+		}
+		hit, err := ce.Rank(ctx, q)
+		if err != nil {
+			t.Fatalf("%v/%v hit: %v", q.Metric, q.Output, err)
+		}
+		if !reflect.DeepEqual(hit, want) {
+			t.Fatalf("%v/%v: cache hit differs from uncached (mutation leaked)", q.Metric, q.Output)
 		}
 	}
 	if st := ce.Stats(); st.Hits == 0 || st.Misses == 0 {

@@ -34,7 +34,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/pdb"
 )
 
@@ -193,16 +192,6 @@ type Query struct {
 	Terms []core.ExpTerm
 	// K is the answer size for OutputTopK.
 	K int
-	// Parallelism caps this query's worker fan-out and, on backends that
-	// support it, switches single evaluations onto sharded parallel kernels
-	// with that many shards (core.Prepared's sharded evaluation layer). The
-	// zero value keeps the backend's default dispatch: the exact legacy
-	// scalar kernels, GOMAXPROCS-wide batch fan-out. Sharded answers agree
-	// with the scalar ones bit-for-bit or within 1e-12 (see
-	// core.PRFeSharded and friends); results are cached per Parallelism
-	// value so the certification holds per knob setting. Negative values
-	// are rejected.
-	Parallelism int
 }
 
 // Result is the answer to one Query (one grid point, for batches).
@@ -279,25 +268,16 @@ func (q *Query) validateCommon() error {
 	default:
 		return fmt.Errorf("engine: unknown metric %v", q.Metric)
 	}
-	if q.Output == OutputTopK {
+	switch q.Output {
+	case OutputValues, OutputRanking:
+	case OutputTopK:
 		if err := pdb.CheckTopK(q.K); err != nil {
 			return err
 		}
-	}
-	if q.Parallelism < 0 {
-		return fmt.Errorf("engine: parallelism %d is negative", q.Parallelism)
+	default:
+		return fmt.Errorf("engine: unknown output mode %v", q.Output)
 	}
 	return nil
-}
-
-// queryCtx applies the query's execution knobs to the context: a positive
-// Parallelism becomes the par.WithLimit cap every backend fan-out and
-// sharded kernel below reads.
-func (q *Query) queryCtx(ctx context.Context) context.Context {
-	if q.Parallelism > 0 {
-		return par.WithLimit(ctx, q.Parallelism)
-	}
-	return ctx
 }
 
 // splitTerms converts the ExpTerm form into the parallel slices the
@@ -326,7 +306,6 @@ func (e *Engine) Rank(ctx context.Context, q Query) (*Result, error) {
 		// zero-value Alpha — reject instead of guessing.
 		return nil, errors.New("engine: Rank got an Alphas grid; use RankBatch for grids (or set Alpha for a single evaluation)")
 	}
-	ctx = q.queryCtx(ctx)
 	res := &Result{Metric: q.Metric, Alpha: q.Alpha}
 
 	switch q.Metric {
@@ -339,7 +318,7 @@ func (e *Engine) Rank(ctx context.Context, q Query) (*Result, error) {
 			res.Complex = vals
 			return res, nil
 		}
-		if q.Output == OutputTopK && q.Parallelism == 0 {
+		if q.Output == OutputTopK {
 			// A single-point top-k batch takes the backend's top-k kernel —
 			// on independent data the certified score-prefix selector,
 			// which never ranks the whole relation. α is checked here so
@@ -499,15 +478,9 @@ func (e *Engine) RankBatch(ctx context.Context, q Query) ([]Result, error) {
 	if len(q.Alphas) == 0 {
 		return nil, errBatchAlpha
 	}
-	if q.Output == OutputTopK {
-		if err := pdb.CheckTopK(q.K); err != nil {
-			return nil, err
-		}
+	if err := q.validateCommon(); err != nil {
+		return nil, err
 	}
-	if q.Parallelism < 0 {
-		return nil, fmt.Errorf("engine: parallelism %d is negative", q.Parallelism)
-	}
-	ctx = q.queryCtx(ctx)
 	out := make([]Result, len(q.Alphas))
 	for a, alpha := range q.Alphas {
 		out[a] = Result{Metric: q.Metric, Alpha: alpha}
@@ -541,8 +514,6 @@ func (e *Engine) RankBatch(ctx context.Context, q Query) ([]Result, error) {
 		for a := range out {
 			out[a].Ranking = rks[a]
 		}
-	default:
-		return nil, fmt.Errorf("engine: unknown output mode %v", q.Output)
 	}
 	return out, nil
 }

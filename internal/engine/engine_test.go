@@ -43,6 +43,8 @@ func TestQueryValidation(t *testing.T) {
 		{"empty combo", Query{Metric: MetricPRFeCombo}, "no terms"},
 		{"bad topk", Query{Metric: MetricPRFe, Alpha: 0.5, Output: OutputTopK, K: -1}, "negative"},
 		{"unknown metric", Query{Metric: Metric(99)}, "unknown metric"},
+		{"unknown output prfe", Query{Metric: MetricPRFe, Alpha: 0.5, Output: Output(7)}, "unknown output mode"},
+		{"unknown output erank", Query{Metric: MetricERank, Output: Output(7)}, "unknown output mode"},
 		{"grid on Rank", Query{Metric: MetricPRFe, Alphas: []float64{0.1, 0.9}, Output: OutputRanking}, "use RankBatch"},
 	}
 	for _, tc := range cases {
@@ -55,6 +57,9 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := e.RankBatch(ctx, Query{Metric: MetricPRFe}); err == nil {
 		t.Error("RankBatch without a grid must error")
+	}
+	if _, err := e.RankBatch(ctx, Query{Metric: MetricPRFe, Alphas: []float64{0.5}, Output: Output(7)}); err == nil || !strings.Contains(err.Error(), "unknown output mode") {
+		t.Errorf("RankBatch unknown output: err = %v, want containing %q", err, "unknown output mode")
 	}
 	var nilEngine *Engine
 	if _, err := nilEngine.Rank(ctx, Query{Metric: MetricERank}); err == nil {
@@ -165,18 +170,16 @@ func TestRankTopKSingleAlpha(t *testing.T) {
 		n := e.Ranker().Len()
 		for _, alpha := range []float64{0, 0.3, 0.9, 1, 1.5, -0.5} {
 			for _, k := range []int{0, 1, 5, n, n + 5} {
-				for _, p := range []int{0, 2} {
-					got, err := e.Rank(ctx, Query{Metric: MetricPRFe, Alpha: alpha, Output: OutputTopK, K: k, Parallelism: p})
-					if err != nil {
-						t.Fatalf("%s α=%v k=%d P=%d: %v", name, alpha, k, p, err)
-					}
-					full, err := e.Rank(ctx, Query{Metric: MetricPRFe, Alpha: alpha, Output: OutputRanking, Parallelism: p})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := full.Ranking.TopK(k); !reflect.DeepEqual(got.Ranking, want) {
-						t.Fatalf("%s α=%v k=%d P=%d: top-k %v, ranking cut %v", name, alpha, k, p, got.Ranking, want)
-					}
+				got, err := e.Rank(ctx, Query{Metric: MetricPRFe, Alpha: alpha, Output: OutputTopK, K: k})
+				if err != nil {
+					t.Fatalf("%s α=%v k=%d: %v", name, alpha, k, err)
+				}
+				full, err := e.Rank(ctx, Query{Metric: MetricPRFe, Alpha: alpha, Output: OutputRanking})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := full.Ranking.TopK(k); !reflect.DeepEqual(got.Ranking, want) {
+					t.Fatalf("%s α=%v k=%d: top-k %v, ranking cut %v", name, alpha, k, got.Ranking, want)
 				}
 			}
 		}

@@ -124,7 +124,7 @@ func (pn *PreparedNetwork) PRFe(alpha complex128) []complex128 {
 func (pn *PreparedNetwork) prfeBatchCtx(ctx context.Context, alphas []complex128) ([][]complex128, error) {
 	rd := pn.RankDistribution()
 	out := make([][]complex128, len(alphas))
-	err := par.ForWorkersCtx(ctx, par.WorkersFor(ctx, len(alphas)), len(alphas), func(_, a int) {
+	err := par.ForWorkersCtx(ctx, par.Workers(len(alphas)), len(alphas), func(_, a int) {
 		row := make([]complex128, pn.Len())
 		for v := range row {
 			row[v] = prfeFold(rd.Dist[v], alphas[a])
@@ -378,7 +378,7 @@ func (pc *PreparedChain) PRFe(alpha complex128) []complex128 {
 // bit-for-bit.
 func (pc *PreparedChain) prfeBatchCtx(ctx context.Context, alphas []complex128) ([][]complex128, error) {
 	out := make([][]complex128, len(alphas))
-	workers := par.WorkersFor(ctx, len(alphas))
+	workers := par.Workers(len(alphas))
 	evals := make([]*chainEval, workers)
 	err := par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
 		if evals[w] == nil {
@@ -408,7 +408,7 @@ func (pc *PreparedChain) RankPRFe(alpha float64) pdb.Ranking {
 // rankBatchCtx is the cancellation-aware per-α ranking loop shared by the
 // full-ranking and top-k batch paths.
 func (pc *PreparedChain) rankBatchCtx(ctx context.Context, alphas []float64, emit func(a int, r pdb.Ranking)) error {
-	workers := par.WorkersFor(ctx, len(alphas))
+	workers := par.Workers(len(alphas))
 	evals := make([]*chainEval, workers)
 	vals := make([][]complex128, workers)
 	err := par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {

@@ -63,7 +63,7 @@ func (pn *PreparedNetwork) QueryRankPRFe(ctx context.Context, alpha float64) (pd
 func (pn *PreparedNetwork) rankBatchCtx(ctx context.Context, alphas []float64, emit func(a int, r pdb.Ranking)) error {
 	rd := pn.RankDistribution()
 	n := pn.Len()
-	workers := par.WorkersFor(ctx, len(alphas))
+	workers := par.Workers(len(alphas))
 	vals := make([][]complex128, workers)
 	return par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
 		if vals[w] == nil {

@@ -14,16 +14,11 @@ import (
 	"repro/internal/pdb"
 )
 
-// The conformance suite: every backend × metric × output × Parallelism
-// combination of the unified engine runs against the brute-force
-// possible-worlds oracle on a seeded instance zoo — random draws plus the
-// adversarial shapes (duplicate scores, ties, zero/one probabilities,
-// degenerate single-tuple and empty-ish worlds) that historically break
-// ranking kernels.
-
-// parallelisms is the Parallelism knob sweep ISSUE'd for certification:
-// default dispatch, the P=1 degenerate shard, and a multi-shard setting.
-var parallelisms = []int{0, 1, 4}
+// The conformance suite: every backend × metric × output combination of
+// the unified engine runs against the brute-force possible-worlds oracle
+// on a seeded instance zoo — random draws plus the adversarial shapes
+// (duplicate scores, ties, zero/one probabilities, degenerate single-tuple
+// and empty-ish worlds) that historically break ranking kernels.
 
 // conformanceQueries is the full metric × output matrix for an n-tuple
 // instance. Every query is valid for every backend.
@@ -62,8 +57,8 @@ func conformanceQueries(n int) []engine.Query {
 	return qs
 }
 
-// certifyAll sweeps the full query matrix × Parallelism knob for one
-// backend against one oracle.
+// certifyAll sweeps the full query matrix for one backend against one
+// oracle.
 func certifyAll(t *testing.T, name string, o *Oracle, r engine.Ranker) {
 	t.Helper()
 	ctx := context.Background()
@@ -71,11 +66,8 @@ func certifyAll(t *testing.T, name string, o *Oracle, r engine.Ranker) {
 		t.Fatalf("%s: oracle world mass %v, want 1", name, mass)
 	}
 	for _, q := range conformanceQueries(o.Len()) {
-		for _, p := range parallelisms {
-			q.Parallelism = p
-			if err := o.Certify(ctx, r, q); err != nil {
-				t.Errorf("%s: %v/%v P=%d: %v", name, q.Metric, q.Output, p, err)
-			}
+		if err := o.Certify(ctx, r, q); err != nil {
+			t.Errorf("%s: %v/%v: %v", name, q.Metric, q.Output, err)
 		}
 	}
 }

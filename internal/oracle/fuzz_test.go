@@ -30,10 +30,10 @@ func fuzzScore(b byte) float64 { return float64(b % 16) }
 
 // fuzzQueries is the compact battery each fuzz iteration certifies: one
 // complex-valued metric with its native ranking, plus every real-valued
-// semantics, at default and sharded parallelism.
+// semantics.
 func fuzzQueries(n int) []engine.Query {
 	k := n/2 + 1
-	qs := []engine.Query{
+	return []engine.Query{
 		{Metric: engine.MetricPRFe, Output: engine.OutputValues, Alpha: 0.85},
 		{Metric: engine.MetricPRFe, Output: engine.OutputRanking, Alpha: 0.85},
 		{Metric: engine.MetricPRFOmega, Output: engine.OutputValues, Weights: []float64{1, 0.5}},
@@ -43,14 +43,6 @@ func fuzzQueries(n int) []engine.Query {
 		{Metric: engine.MetricExpectedRank, Output: engine.OutputValues},
 		{Metric: engine.MetricMedianRank, Output: engine.OutputRanking},
 	}
-	out := make([]engine.Query, 0, 2*len(qs))
-	for _, p := range []int{0, 4} {
-		for _, q := range qs {
-			q.Parallelism = p
-			out = append(out, q)
-		}
-	}
-	return out
 }
 
 func fuzzCertify(t *testing.T, o *Oracle, backends map[string]engine.Ranker) {
@@ -59,7 +51,7 @@ func fuzzCertify(t *testing.T, o *Oracle, backends map[string]engine.Ranker) {
 	for name, r := range backends {
 		for _, q := range fuzzQueries(o.Len()) {
 			if err := o.Certify(ctx, r, q); err != nil {
-				t.Fatalf("%s: %v/%v P=%d: %v", name, q.Metric, q.Output, q.Parallelism, err)
+				t.Fatalf("%s: %v/%v: %v", name, q.Metric, q.Output, err)
 			}
 		}
 	}

@@ -38,9 +38,9 @@ const MaxTuples = 18
 
 // Tolerance is the scaled comparison tolerance Certify applies: values
 // agree when |a−b| ≤ Tolerance·max(1, |a|, |b|). The backends accumulate in
-// different orders (and the sharded kernels merge per-shard partials), so
-// bit-equality is not the contract — 1e-9 is ~7 decimal digits of slack on
-// top of the ≤1e-12 certification the kernels carry against each other.
+// different orders, so bit-equality is not the contract — 1e-9 is ~7
+// decimal digits of slack on top of the ≤1e-12 certification the kernels
+// carry against each other.
 const Tolerance = 1e-9
 
 // Oracle holds the exact per-tuple statistics accumulated over every

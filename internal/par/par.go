@@ -24,48 +24,6 @@ func Workers(jobs int) int {
 	return workers
 }
 
-// limitKey carries a per-request parallelism cap through a context (see
-// WithLimit). The cap is advisory fan-out width, not an affinity mask.
-type limitKey struct{}
-
-// WithLimit returns a context carrying a parallelism cap of p workers for
-// every fan-out below it. Non-positive p returns ctx unchanged (no cap). The
-// engine sets this from Query.Parallelism so one giant query can be bounded
-// without starving concurrent requests.
-func WithLimit(ctx context.Context, p int) context.Context {
-	if p <= 0 {
-		return ctx
-	}
-	if ctx == nil {
-		ctx = context.Background() //lint:allow ctxflow nil-ctx normalization: Background is the documented nil fallback
-	}
-	return context.WithValue(ctx, limitKey{}, p)
-}
-
-// Limit reports the parallelism cap carried by ctx, or 0 when none is set.
-// A zero return means "no explicit knob": callers keep their legacy
-// (GOMAXPROCS-wide, scalar-kernel) behavior.
-func Limit(ctx context.Context) int {
-	if ctx == nil {
-		return 0
-	}
-	if p, ok := ctx.Value(limitKey{}).(int); ok && p > 0 {
-		return p
-	}
-	return 0
-}
-
-// WorkersFor is Workers additionally clamped by the context's parallelism
-// cap: min(GOMAXPROCS, jobs, Limit(ctx)). With no cap set it is exactly
-// Workers(jobs), so existing callers keep their behavior bit-for-bit.
-func WorkersFor(ctx context.Context, jobs int) int {
-	workers := Workers(jobs)
-	if p := Limit(ctx); p > 0 && workers > p {
-		workers = p
-	}
-	return workers
-}
-
 // ForWorkers runs fn(worker, 0..jobs-1) across the given number of
 // goroutines — callers obtain it from Workers(jobs) once and size any
 // per-worker scratch with the same value, so a concurrent GOMAXPROCS change

@@ -32,9 +32,9 @@ func TestServeSemanticsCacheByteEqual(t *testing.T) {
 		{Metric: "globaltopk", Output: "topk", K: 2},
 		{Metric: "expectedrank"},
 		{Metric: "expectedrank", Output: "ranking"},
-		{Metric: "expectedrank", Output: "topk", K: 2, Parallelism: 4},
+		{Metric: "expectedrank", Output: "topk", K: 2},
 		{Metric: "medianrank"},
-		{Metric: "medianrank", Output: "ranking", Parallelism: 1},
+		{Metric: "medianrank", Output: "ranking"},
 		{Metric: "medianrank", Output: "topk", K: 2},
 	}
 	for _, name := range []string{"iip", "sensors", "chain", "traffic", "grid"} {
@@ -70,7 +70,6 @@ func TestToQueryRejectsNonFinite(t *testing.T) {
 		"inf weight":      {Metric: "prfomega", Weights: []float64{inf, 1}},
 		"nan term u":      {Metric: "prfecombo", Terms: []Term{{U: Complex{nan, 0}, Alpha: Complex{0.5, 0}}}},
 		"inf term alpha":  {Metric: "prfecombo", Terms: []Term{{U: Complex{1, 0}, Alpha: Complex{0, inf}}}},
-		"negative knob":   {Metric: "erank", Parallelism: -1},
 	}
 	for name, wq := range bad {
 		if _, err := wq.ToQuery(); err == nil {

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -88,12 +87,6 @@ type Options struct {
 	DisableSingleFlight bool
 	// MaxBodyBytes bounds request bodies; 0 takes 1 MiB.
 	MaxBodyBytes int64
-	// MaxParallelism clamps the per-request query parallelism knob
-	// (query.parallelism): one giant query may fan out across idle cores,
-	// but never wider than this, so it cannot starve concurrent requests.
-	// 0 takes GOMAXPROCS; negative disables the knob (every query runs the
-	// scalar path).
-	MaxParallelism int
 	// Store, when set, backs the dataset-lifecycle admin endpoints: imports
 	// persist there and installs re-open from it (so what is served is
 	// provably what was stored).
@@ -401,24 +394,6 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (ctx context.C
 	return context.WithTimeout(r.Context(), d)
 }
 
-// clampParallelism applies the server's per-request parallelism cap to a
-// decoded query: client values above the cap are lowered, not rejected (the
-// knob is advisory width, and the clamp runs before the cache key is
-// computed so equivalent-after-clamp requests share cache entries).
-// Negative client values pass through to the engine's validation error.
-func (s *Server) clampParallelism(q *engine.Query) {
-	maxPar := s.opts.MaxParallelism
-	if maxPar == 0 {
-		maxPar = runtime.GOMAXPROCS(0)
-	}
-	if maxPar < 0 {
-		maxPar = 0
-	}
-	if q.Parallelism > maxPar {
-		q.Parallelism = maxPar
-	}
-}
-
 // writeEngineError maps evaluation errors onto statuses: context deadline
 // and cancellation are 504 (the request-scoped work was cut off), anything
 // else the engines return is a query-validation failure, 400.
@@ -446,7 +421,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	s.clampParallelism(&q)
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 	wantGzip := acceptsGzip(r)
@@ -474,7 +448,6 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	s.clampParallelism(&q)
 	prefix := "B"
 	switch req.Format {
 	case "", "results":

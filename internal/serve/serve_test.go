@@ -303,7 +303,7 @@ func TestServeErrors(t *testing.T) {
 		{"batch without grid", "/rankbatch", reqBody(t, "iip", WireQuery{Metric: "prfe", Alpha: 0.5}), http.StatusBadRequest, "bad_request"},
 		{"batch gridless metric", "/rankbatch", reqBody(t, "iip", WireQuery{Metric: "erank"}), http.StatusBadRequest, "bad_request"},
 		{"batch gridless globaltopk", "/rankbatch", reqBody(t, "iip", WireQuery{Metric: "globaltopk", K: 2}), http.StatusBadRequest, "bad_request"},
-		{"negative parallelism", "/rank", reqBody(t, "iip", WireQuery{Metric: "medianrank", Parallelism: -3}), http.StatusBadRequest, "bad_request"},
+		{"parallelism is not a query field", "/rank", `{"dataset": "iip", "query": {"metric": "medianrank", "parallelism": 2}}`, http.StatusBadRequest, "bad_request"},
 		{"negative timeout", "/rank", `{"dataset": "iip", "query": {"metric": "prfe"}, "timeout_ms": -5}`, http.StatusBadRequest, "bad_request"},
 		{"oversized body", "/rank", `{"dataset": "iip", "query": {"metric": "prfomega", "weights": [` + strings.Repeat("1,", 4000) + `1]}}`, http.StatusRequestEntityTooLarge, "too_large"},
 	}

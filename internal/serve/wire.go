@@ -36,11 +36,6 @@ type WireQuery struct {
 	H       int       `json:"h,omitempty"`
 	K       int       `json:"k,omitempty"`
 	Terms   []Term    `json:"terms,omitempty"`
-	// Parallelism asks the engine to evaluate this query with up to that
-	// many parallel shards/workers (0 = the scalar default). The server
-	// clamps it to Options.MaxParallelism (default GOMAXPROCS) so one query
-	// cannot starve concurrent requests.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // metricNames maps wire names onto engine metrics.
@@ -112,15 +107,11 @@ func (w WireQuery) ToQuery() (engine.Query, error) {
 			}
 		}
 	}
-	if w.Parallelism < 0 {
-		return q, fmt.Errorf("serve: negative parallelism %d", w.Parallelism)
-	}
 	q.Alpha = w.Alpha
 	q.Alphas = w.Alphas
 	q.Weights = w.Weights
 	q.H = w.H
 	q.K = w.K
-	q.Parallelism = w.Parallelism
 	if len(w.Terms) > 0 {
 		q.Terms = make([]core.ExpTerm, len(w.Terms))
 		for i, t := range w.Terms {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/pdb"
 )
 
@@ -90,31 +89,28 @@ func TestLazyTopKMatchesFull(t *testing.T) {
 }
 
 // TestLazyFallbacksMatchFull pins the edge paths to the full-load result:
-// α outside (0,1) and huge k, which decline partial answering, and an
-// explicit parallelism limit and k = 0, which the certified selector
-// answers from a prefix (top-k has no sharded kernel to defer to).
+// α outside (0,1) and huge k, which decline partial answering, and k = 0,
+// which the certified selector answers from a prefix.
 func TestLazyFallbacksMatchFull(t *testing.T) {
 	ctx := context.Background()
 	s := tempStore(t)
 
 	cases := []struct {
 		name   string
-		ctx    context.Context
 		alphas []float64
 		k      int
 	}{
-		{"alpha above one", ctx, []float64{1.5}, 5},
-		{"alpha zero", ctx, []float64{0}, 5},
-		{"alpha negative", ctx, []float64{-0.5}, 5},
-		{"mixed grid", ctx, []float64{0.5, 2}, 5},
-		{"parallel limit", par.WithLimit(ctx, 4), []float64{0.5}, 5},
-		{"k equals n", ctx, []float64{0.5}, 2000},
-		{"k zero", ctx, []float64{0.5}, 0},
+		{"alpha above one", []float64{1.5}, 5},
+		{"alpha zero", []float64{0}, 5},
+		{"alpha negative", []float64{-0.5}, 5},
+		{"mixed grid", []float64{0.5, 2}, 5},
+		{"k equals n", []float64{0.5}, 2000},
+		{"k zero", []float64{0.5}, 0},
 	}
 	for i, tc := range cases {
 		lz, full := lazyFixture(t, s, 2000, int64(100+i))
-		got, err := lz.QueryTopKPRFeBatch(tc.ctx, tc.alphas, tc.k)
-		want, werr := full.QueryTopKPRFeBatch(tc.ctx, tc.alphas, tc.k)
+		got, err := lz.QueryTopKPRFeBatch(ctx, tc.alphas, tc.k)
+		want, werr := full.QueryTopKPRFeBatch(ctx, tc.alphas, tc.k)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("%s: error mismatch: lazy %v, full %v", tc.name, err, werr)
 		}

@@ -7,9 +7,6 @@
 # non-zero exit only for >5x regressions — so perf rot is visible per PR
 # without flaking on runner noise. BENCH files since BENCH_5 embed a
 # quick-measured smoke section, making the comparison size-for-size.
-# Multi-core trajectory sections follow the like-parallelism rule: an entry
-# hard-compares only against a baseline measured at the same GOMAXPROCS and
-# shard parallelism; any other pairing demotes to a warning.
 #
 # Usage:
 #   scripts/benchdiff.sh                 # baseline = newest BENCH_*.json
