@@ -87,16 +87,14 @@ import (
 	"repro/internal/store"
 )
 
-// Result is one measured benchmark case. GOMAXPROCS records the runtime
-// cap the arm ran at.
+// Result is one measured benchmark case.
 type Result struct {
-	Name       string  `json:"name"`
-	Iters      int     `json:"iters"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	MsPerOp    float64 `json:"ms_per_op"`
-	AllocsOp   int64   `json:"allocs_per_op"`
-	BytesOp    int64   `json:"bytes_per_op"`
-	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
+	Name     string  `json:"name"`
+	Iters    int     `json:"iters"`
+	NsPerOp  float64 `json:"ns_per_op"`
+	MsPerOp  float64 `json:"ms_per_op"`
+	AllocsOp int64   `json:"allocs_per_op"`
+	BytesOp  int64   `json:"bytes_per_op"`
 }
 
 // Section is one measured run of the whole suite at one size
@@ -231,12 +229,18 @@ func quickMeasure(name string, op func()) Result {
 	return Result{Name: name, Iters: iters, NsPerOp: ns, MsPerOp: ns / 1e6}
 }
 
+// printResult prints one measured arm.
+func printResult(r Result) {
+	fmt.Printf("%-44s %12.3f ms/op  (%d iters, %d allocs/op, %d B/op)\n",
+		r.Name, r.MsPerOp, r.Iters, r.AllocsOp, r.BytesOp)
+}
+
 // runSuite builds every workload at the given sizes and measures (or, with
 // a nil measure, just runs) each one.
 func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 	sec := Section{N: n, GridPoints: grid, ComboTerms: terms, ChainN: chainN,
 		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Speedups: map[string]float64{}}
-	// add measures one arm and stamps the GOMAXPROCS it ran at.
+	// add measures one arm.
 	add := func(name string, op func()) Result {
 		if meas == nil {
 			op()
@@ -244,10 +248,8 @@ func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 			return Result{Name: name}
 		}
 		r := meas(name, op)
-		r.GOMAXPROCS = runtime.GOMAXPROCS(0)
 		sec.Results = append(sec.Results, r)
-		fmt.Printf("%-44s %12.3f ms/op  (%d iters, %d allocs/op)\n",
-			r.Name, r.MsPerOp, r.Iters, r.AllocsOp)
+		printResult(r)
 		return r
 	}
 
@@ -477,10 +479,11 @@ func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 
 // runStoreArms registers the persistent-store workloads at size n: the CSV
 // parse+prepare baseline (the path every load took before the store), the
-// segment cold open (header + checksum-verified section reads + FromSorted,
-// no text parsing, no sort), and the cold certified top-k (partial
-// materialization: only a score-order prefix is read, the tail is bounded
-// away). Speedup keys get keySuffix appended so the -store-n trajectory can
+// admin import (ImportCSV: the CSV streamed into a durable segment, what
+// every POST /datasets/{name} pays), the segment cold open (header +
+// checksum-verified section reads + FromSorted, no text parsing, no sort),
+// and the cold certified top-k (partial materialization: only a
+// score-order prefix is read, the tail is bounded away). Speedup keys get keySuffix appended so the -store-n trajectory can
 // coexist with the in-suite arms.
 func runStoreArms(n int, add func(name string, op func()) Result,
 	speedups map[string]float64, measured bool, keySuffix string) {
@@ -513,6 +516,11 @@ func runStoreArms(n int, add func(name string, op func()) Result,
 			panic(err)
 		}
 		if _, err := ds2.Engine(); err != nil {
+			panic(err)
+		}
+	})
+	add("store/admin-import", func() {
+		if _, err := st.ImportCSV("bench-import", store.KindIndependent, bytes.NewReader(csv.Bytes())); err != nil {
 			panic(err)
 		}
 	})
@@ -619,10 +627,8 @@ func main() {
 			NumCPU: runtime.NumCPU(), Speedups: map[string]float64{}}
 		add := func(name string, op func()) Result {
 			r := fullMeasure(name, op)
-			r.GOMAXPROCS = runtime.GOMAXPROCS(0)
 			ssec.Results = append(ssec.Results, r)
-			fmt.Printf("%-44s %12.3f ms/op  (%d iters, %d allocs/op)\n",
-				r.Name, r.MsPerOp, r.Iters, r.AllocsOp)
+			printResult(r)
 			return r
 		}
 		runStoreArms(*storeN, add, ssec.Speedups, true, fmt.Sprintf("@%d", *storeN))

@@ -104,11 +104,11 @@ func runImport(st *store.Store, name, kind, path string) error {
 		return err
 	}
 	defer f.Close()
-	ds, err := store.Parse(kind, f)
-	if err != nil {
+	info, err := st.ImportCSV(name, kind, f)
+	var bad *store.InputError
+	if errors.As(err, &bad) {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	info, err := st.Import(name, ds)
 	if err != nil {
 		return err
 	}

@@ -68,10 +68,14 @@ func Prepare(d *pdb.Dataset) *Prepared {
 // PrepareArrays builds the sorted view of parallel score/probability
 // arrays, tuple i taking ID i: the view Prepare builds from
 // pdb.NewDataset(scores, probs), validated with the same error texts, but
-// sorted straight from the arrays without materializing the tuples. The
-// inputs are not retained.
+// ordered straight from the arrays by CanonicalOrder's radix sort without
+// materializing the tuples. The inputs are not retained.
 func PrepareArrays(scores, probs []float64) (*Prepared, error) {
 	if err := pdb.ValidateArrays(scores, probs); err != nil {
+		return nil, err
+	}
+	order, err := CanonicalOrder(len(scores), func(i int) float64 { return scores[i] })
+	if err != nil {
 		return nil, err
 	}
 	n := len(scores)
@@ -80,14 +84,8 @@ func PrepareArrays(scores, probs []float64) (*Prepared, error) {
 		scores: make([]float64, n),
 		probs:  make([]float64, n),
 	}
-	for i := range v.ids {
-		v.ids[i] = pdb.TupleID(i)
-	}
-	slices.SortFunc(v.ids, func(a, b pdb.TupleID) int {
-		return canonicalCmp(scores[a], a, scores[b], b)
-	})
-	for i, id := range v.ids {
-		v.scores[i], v.probs[i] = scores[id], probs[id]
+	for i, id := range order {
+		v.ids[i], v.scores[i], v.probs[i] = pdb.TupleID(id), scores[id], probs[id]
 	}
 	return v, nil
 }
@@ -334,11 +332,18 @@ func (v *Prepared) ExpectedRank() []float64 {
 // function scan with an early-exit cumulative fold per tuple: O(n²) worst
 // case, O(n) space (the full rank-distribution matrix is never
 // materialized).
+//
+// The fold's total is p times the generating function's mass, which
+// rounding can leave just below 1, so at p = 1/2 it may never reach 1/2.
+// The exact answer there is the largest rank the tuple can take, one past
+// the count of higher-scored tuples with p > 0 (its cumulative mass is p
+// only once every such tuple can be present), kept as a running count.
 func (v *Prepared) MedianRank() []float64 {
 	n := v.Len()
 	out := make([]float64, n)
 	g := make([]float64, 1, n+1)
 	g[0] = 1
+	possible := 0 // higher-scored tuples with p > 0
 	for i := 0; i < n; i++ {
 		p := v.probs[i]
 		med := pdb.MedianRankSentinel(n)
@@ -351,6 +356,10 @@ func (v *Prepared) MedianRank() []float64 {
 					break
 				}
 			}
+			if cum < 0.5 && p >= 0.5 {
+				med = float64(possible + 1)
+			}
+			possible++
 		}
 		out[v.ids[i]] = med
 		g = advance(g, p, n)

@@ -78,7 +78,7 @@ func ValidateArrays(scores, probs []float64) error {
 		return fmt.Errorf("pdb: %d scores but %d probabilities", len(scores), len(probs))
 	}
 	for i := range scores {
-		if err := checkTuple(TupleID(i), scores[i], probs[i]); err != nil {
+		if err := CheckTuple(TupleID(i), scores[i], probs[i]); err != nil {
 			return err
 		}
 	}
@@ -112,14 +112,17 @@ func MustDataset(scores, probs []float64) *Dataset {
 // Validate checks every tuple for a probability in [0,1] and finite score.
 func (d *Dataset) Validate() error {
 	for _, t := range d.tuples {
-		if err := checkTuple(t.ID, t.Score, t.Prob); err != nil {
+		if err := CheckTuple(t.ID, t.Score, t.Prob); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func checkTuple(id TupleID, score, prob float64) error {
+// CheckTuple checks one tuple by the rules every constructor applies: a
+// probability in [0, 1] and a finite score. The error texts are the ones
+// NewDataset and ValidateArrays report.
+func CheckTuple(id TupleID, score, prob float64) error {
 	if math.IsNaN(prob) || prob < 0 || prob > 1 {
 		return fmt.Errorf("pdb: tuple %d has invalid probability %v", id, prob)
 	}

@@ -5,10 +5,11 @@ package serve
 // 403 so probing an unconfigured server reveals nothing it can do.
 //
 // An import is parse → persist → re-open → swap: the body is parsed and
-// validated exactly like a startup file, written to the store as the next
-// immutable generation, then *re-opened from disk* before the in-memory
-// swap — the served view is provably the stored bytes, not the parsed
-// intermediate. The swap itself is one map-entry replacement under the
+// validated exactly like a startup file and written to the store as the
+// next immutable generation (store.ImportCSV, which streams an independent
+// CSV straight into the segment), then *re-opened from disk* before the
+// in-memory swap — the served view is provably the stored bytes, not the
+// parsed intermediate. The swap itself is one map-entry replacement under the
 // server lock: queries that already resolved the old *dataset finish on the
 // old view and old caches; queries that resolve after see only the new
 // ones. Nothing is ever mutated in place, so there is no torn state for a
@@ -66,20 +67,19 @@ func (s *Server) handleDatasetImport(w http.ResponseWriter, r *http.Request) {
 	if maxBody <= 0 {
 		maxBody = defaultMaxAdminBody
 	}
-	ds, err := store.Parse(kind, http.MaxBytesReader(w, r.Body, maxBody))
+	info, err := s.opts.Store.ImportCSV(name, kind, http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
+		var bad *store.InputError
 		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+		switch {
+		case errors.As(err, &tooLarge):
 			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
 				fmt.Sprintf("serve: dataset body exceeds %d bytes", tooLarge.Limit))
-			return
+		case errors.As(err, &bad):
+			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		default:
+			writeError(w, http.StatusInternalServerError, "store_error", err.Error())
 		}
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	info, err := s.opts.Store.Import(name, ds)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "store_error", err.Error())
 		return
 	}
 	if err := s.InstallFromStore(name); err != nil {

@@ -9,13 +9,10 @@ package store
 // store and one parsed at startup go through identical validation.
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
-	"strconv"
 
 	"repro/internal/andxor"
 	"repro/internal/core"
@@ -189,66 +186,46 @@ func Parse(kind string, r io.Reader) (*Dataset, error) {
 	}
 }
 
-// readCSV parses score,probability[,group] rows (an optional non-numeric
-// header row is skipped) and reports whether any row carried a group. The
-// group labels are collected only when labels is set; the independent
-// path needs just the flag.
-func readCSV(r io.Reader, labels bool) (scores, probs []float64, groups []string, grouped bool, err error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true // the field strings stay valid; only the slice is reused
-	line := 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		line++
-		if len(rec) < 2 {
-			return nil, nil, nil, false, fmt.Errorf("store: line %d: need score,probability", line)
-		}
-		if line == 1 {
-			_, err0 := strconv.ParseFloat(rec[0], 64)
-			_, err1 := strconv.ParseFloat(rec[1], 64)
-			// Only a row that is non-numeric in BOTH value columns reads as
-			// a header; a data row with one typo'd field must error below,
-			// not silently vanish (it would shift every tuple ID).
-			if err0 != nil && err1 != nil {
-				continue
-			}
-		}
-		s, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, nil, nil, false, fmt.Errorf("store: line %d: bad score %q", line, rec[0])
-		}
-		p, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, nil, nil, false, fmt.Errorf("store: line %d: bad probability %q", line, rec[1])
-		}
-		if len(scores) == cap(scores) {
-			// Double instead of append's ~1.25x growth at large sizes: the
-			// discarded copies then total about the final size, not about
-			// four times it.
-			scores = slices.Grow(scores, max(len(scores), 512))
-			probs = slices.Grow(probs, max(len(probs), 512))
-		}
-		scores = append(scores, s)
-		probs = append(probs, p)
-		g := ""
-		if len(rec) >= 3 {
-			g = rec[2]
-		}
-		if g != "" {
-			grouped = true
-		}
-		if labels {
-			groups = append(groups, g)
+// scanIndependent scans a score,probability CSV and checks it the way
+// ParseIndependentCSV always has, in the same order: scan errors, the
+// group-column guard, emptiness, then the tuple rules in input order
+// (pdb's texts, tuple i being ID i). It returns the columns with their
+// canonical order: order[j] is the input position at prepared position j.
+func scanIndependent(r io.Reader) (*columns, []uint32, error) {
+	c, err := scanCSV(r, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.grouped {
+		return nil, nil, errors.New("store: independent CSV has a group column; load it as an x-relation (kind xrel)")
+	}
+	n := c.scores.n
+	if n == 0 {
+		return nil, nil, errors.New("store: empty dataset")
+	}
+	for i := 0; i < n; i++ {
+		if err := pdb.CheckTuple(pdb.TupleID(i), c.scores.at(i), c.probs.at(i)); err != nil {
+			return nil, nil, err
 		}
 	}
-	return scores, probs, groups, grouped, nil
+	order, err := core.CanonicalOrder(n, c.scores.at)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, order, nil
+}
+
+// independentSections returns the segment sections of a scanned
+// independent CSV, streamed from the column blocks in the given canonical
+// order — the bytes Encode writes for the Dataset ParseIndependentCSV
+// would build, without building it.
+func (c *columns) independentSections(order []uint32) func(*sectionWriter) {
+	n := len(order)
+	return func(w *sectionWriter) {
+		w.u32s(secIDs, n, func(j int) uint32 { return order[j] })
+		w.f64s(secScores, n, func(j int) float64 { return c.scores.at(int(order[j])) })
+		w.f64s(secProbs, n, func(j int) float64 { return c.probs.at(int(order[j])) })
+	}
 }
 
 // ParseIndependentCSV parses score,probability rows as a tuple-independent
@@ -257,21 +234,17 @@ func readCSV(r io.Reader, labels bool) (scores, probs []float64, groups []string
 // group column, if present, is an error — use ParseXRelationCSV for
 // x-relations.
 func ParseIndependentCSV(r io.Reader) (*Dataset, error) {
-	scores, probs, _, grouped, err := readCSV(r, false)
+	c, order, err := scanIndependent(r)
 	if err != nil {
 		return nil, err
 	}
-	if grouped {
-		return nil, errors.New("store: independent CSV has a group column; load it as an x-relation (kind xrel)")
+	n := len(order)
+	ds := &Dataset{Kind: KindIndependent,
+		IDs: make([]pdb.TupleID, n), Scores: make([]float64, n), Probs: make([]float64, n)}
+	for j, id := range order {
+		ds.IDs[j], ds.Scores[j], ds.Probs[j] = pdb.TupleID(id), c.scores.at(int(id)), c.probs.at(int(id))
 	}
-	if len(scores) == 0 {
-		return nil, errors.New("store: empty dataset")
-	}
-	v, err := core.PrepareArrays(scores, probs)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{Kind: KindIndependent, IDs: v.IDs(), Scores: v.Scores(), Probs: v.Probs()}, nil
+	return ds, nil
 }
 
 // ParseXRelationCSV parses score,probability,group rows as an x-relation:
@@ -280,14 +253,14 @@ func ParseIndependentCSV(r io.Reader) (*Dataset, error) {
 // convention — see andxor.GroupRows). The stored arrays are the leaves
 // flattened group by group, which is exactly XTuples leaf-ID order.
 func ParseXRelationCSV(r io.Reader) (*Dataset, error) {
-	scores, probs, labels, _, err := readCSV(r, true)
+	c, err := scanCSV(r, true)
 	if err != nil {
 		return nil, err
 	}
-	if len(scores) == 0 {
+	if c.scores.n == 0 {
 		return nil, errors.New("store: empty dataset")
 	}
-	gs, _ := andxor.GroupRows(scores, probs, labels)
+	gs, _ := andxor.GroupRows(c.scores.flat(), c.probs.flat(), c.labels)
 	if _, err := andxor.XTuples(gs); err != nil {
 		return nil, err
 	}

@@ -35,6 +35,7 @@ package store
 // layout change fails CI instead of corrupting stores.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -243,80 +244,189 @@ func readSection(r io.ReaderAt, s section) ([]byte, error) {
 	return buf, nil
 }
 
+// writeBufSize is the segment writer's buffer.
+const writeBufSize = 64 << 10
+
+// segmentFile is where a segment is written: the payloads stream through
+// Write, then the header and section table, which carry the payload CRCs,
+// are written over the space reserved for them with WriteAt.
+type segmentFile interface {
+	io.Writer
+	io.WriterAt
+}
+
+// memFile is a segmentFile in memory: Write appends, WriteAt overwrites
+// bytes already written.
+type memFile struct{ b []byte }
+
+func (m *memFile) Write(p []byte) (int, error) {
+	m.b = append(m.b, p...)
+	return len(p), nil
+}
+
+func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
+	return copy(m.b[off:], p), nil
+}
+
+// crcWriter forwards writes to w, folding every byte into a running
+// CRC-32 (IEEE) and a byte count.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	n   uint64
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
+	c.n += uint64(len(p))
+	return c.w.Write(p)
+}
+
+// sectionWriter streams section payloads, one after another, through one
+// buffered writer. Each section is flushed when it ends, which closes its
+// CRC and length into the table. The first error sticks: every later write
+// is skipped and writeSegment returns it.
+type sectionWriter struct {
+	bw    *bufio.Writer
+	sum   *crcWriter // under bw: sees each section's bytes exactly once
+	off   uint64     // file offset of the section being written
+	table []section
+	err   error
+}
+
+// fixed streams one section of n elements of width bytes each, encoding
+// them straight into the buffer's free space: put fills b with the
+// elements from lo on.
+func (w *sectionWriter) fixed(id uint32, width, n int, put func(b []byte, lo int)) {
+	for lo := 0; lo < n && w.err == nil; {
+		b := w.bw.AvailableBuffer()
+		k := min(n-lo, cap(b)/width)
+		if k == 0 {
+			w.err = w.bw.Flush()
+			continue
+		}
+		b = b[:k*width]
+		put(b, lo)
+		_, w.err = w.bw.Write(b)
+		lo += k
+	}
+	w.end(id)
+}
+
+// u32s streams a section of n little-endian uint32s, element i being at(i).
+func (w *sectionWriter) u32s(id uint32, n int, at func(int) uint32) {
+	w.fixed(id, 4, n, func(b []byte, lo int) {
+		for j := 0; j < len(b)/4; j++ {
+			binary.LittleEndian.PutUint32(b[4*j:], at(lo+j))
+		}
+	})
+}
+
+// f64s streams a section of n float64 bit patterns, element i being at(i).
+func (w *sectionWriter) f64s(id uint32, n int, at func(int) float64) {
+	w.fixed(id, 8, n, func(b []byte, lo int) {
+		for j := 0; j < len(b)/8; j++ {
+			binary.LittleEndian.PutUint64(b[8*j:], math.Float64bits(at(lo+j)))
+		}
+	})
+}
+
+// raw writes a section whose payload is already encoded.
+func (w *sectionWriter) raw(id uint32, p []byte) {
+	if w.err == nil {
+		_, w.err = w.bw.Write(p)
+	}
+	w.end(id)
+}
+
+func (w *sectionWriter) end(id uint32) {
+	if w.err == nil {
+		w.err = w.bw.Flush()
+	}
+	w.table = append(w.table, section{id: id, crc: w.sum.crc, off: w.off, len: w.sum.n})
+	w.off += w.sum.n
+	w.sum.crc, w.sum.n = 0, 0
+}
+
+// writeSegment writes one segment of the given kind, n tuples and
+// generation to f and returns its length. emit writes the kind's sections
+// in canonical order; they stream through a writeBufSize buffer from the
+// end of the header's space, and the header and section table are written
+// last. This is the one segment encoder: Encode runs it into memory, the
+// store's imports into the segment file.
+func writeSegment(f segmentFile, kind string, n int, generation uint64, emit func(*sectionWriter)) (int64, error) {
+	order := kindSections[kind]
+	hdr := make([]byte, fixedHdrLen+len(order)*secDescLen+4)
+	if _, err := f.Write(hdr); err != nil {
+		return 0, err
+	}
+	sum := &crcWriter{w: f}
+	w := &sectionWriter{bw: bufio.NewWriterSize(sum, writeBufSize), sum: sum, off: uint64(len(hdr))}
+	emit(w)
+	if w.err != nil {
+		return 0, w.err
+	}
+	if len(w.table) != len(order) {
+		return 0, fmt.Errorf("%w: %s segment written with %d sections, want %d", ErrCorrupt, kind, len(w.table), len(order))
+	}
+	copy(hdr, magicStr)
+	binary.LittleEndian.PutUint32(hdr[8:], Version)
+	binary.LittleEndian.PutUint32(hdr[12:], kindCodes[kind])
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(n))
+	binary.LittleEndian.PutUint64(hdr[24:], generation)
+	binary.LittleEndian.PutUint32(hdr[32:], uint32(len(order)))
+	binary.LittleEndian.PutUint32(hdr[36:], crc32.ChecksumIEEE(hdr[:36]))
+	for i, s := range w.table {
+		if want, fixedWidth := expectedLen(s.id, uint64(n)); s.id != order[i] || fixedWidth && s.len != want {
+			return 0, fmt.Errorf("%w: %s segment section %d written as id %d, %d bytes", ErrCorrupt, kind, i, s.id, s.len)
+		}
+		d := hdr[fixedHdrLen+i*secDescLen:]
+		binary.LittleEndian.PutUint32(d[0:], s.id)
+		binary.LittleEndian.PutUint32(d[4:], s.crc)
+		binary.LittleEndian.PutUint64(d[8:], s.off)
+		binary.LittleEndian.PutUint64(d[16:], s.len)
+	}
+	tbl := hdr[fixedHdrLen : len(hdr)-4]
+	binary.LittleEndian.PutUint32(hdr[len(hdr)-4:], crc32.ChecksumIEEE(tbl))
+	if _, err := f.WriteAt(hdr, 0); err != nil {
+		return 0, err
+	}
+	return int64(w.off), nil
+}
+
+// writeSections emits the dataset's sections in canonical order.
+func (ds *Dataset) writeSections(w *sectionWriter) {
+	for _, id := range kindSections[ds.Kind] {
+		switch id {
+		case secIDs:
+			w.u32s(id, len(ds.IDs), func(i int) uint32 { return uint32(ds.IDs[i]) })
+		case secScores:
+			w.f64s(id, len(ds.Scores), func(i int) float64 { return ds.Scores[i] })
+		case secProbs:
+			w.f64s(id, len(ds.Probs), func(i int) float64 { return ds.Probs[i] })
+		case secGroups:
+			w.u32s(id, len(ds.Groups), func(i int) uint32 { return ds.Groups[i] })
+		case secTree:
+			w.raw(id, encodeTree(ds.Tree))
+		case secPairs:
+			// p00, p01, p10, p11 per adjacent pair
+			w.f64s(id, 4*len(ds.Pairs), func(i int) float64 { return ds.Pairs[i/4][i/2%2][i%2] })
+		}
+	}
+}
+
 // Encode serializes a canonical Dataset into segment bytes at the current
 // format version. The dataset must satisfy the canonical invariants
-// (Dataset.validate); Import establishes them for parsed input. Every
-// section is written straight into the one output buffer.
+// (Dataset.validate); Import establishes them for parsed input.
 func Encode(ds *Dataset, generation uint64) ([]byte, error) {
 	if err := ds.validate(); err != nil {
 		return nil, err
 	}
-	n := ds.len()
-	order := kindSections[ds.Kind]
-	var tree []byte // the one variable-length section, sized by encoding it
-	lens := make([]int, len(order))
-	dataOff := fixedHdrLen + len(order)*secDescLen + 4
-	total := dataOff
-	for i, id := range order {
-		if id == secTree {
-			tree = encodeTree(ds.Tree)
-			lens[i] = len(tree)
-		} else {
-			l, _ := expectedLen(id, uint64(n))
-			lens[i] = int(l)
-		}
-		total += lens[i]
+	var m memFile
+	if _, err := writeSegment(&m, ds.Kind, ds.len(), generation, ds.writeSections); err != nil {
+		return nil, err
 	}
-	out := make([]byte, total)
-	copy(out, magicStr)
-	binary.LittleEndian.PutUint32(out[8:], Version)
-	binary.LittleEndian.PutUint32(out[12:], kindCodes[ds.Kind])
-	binary.LittleEndian.PutUint64(out[16:], uint64(n))
-	binary.LittleEndian.PutUint64(out[24:], generation)
-	binary.LittleEndian.PutUint32(out[32:], uint32(len(order)))
-	binary.LittleEndian.PutUint32(out[36:], crc32.ChecksumIEEE(out[:36]))
-	off := dataOff
-	for i, id := range order {
-		b := out[off : off+lens[i]]
-		switch id {
-		case secIDs:
-			for j, v := range ds.IDs {
-				binary.LittleEndian.PutUint32(b[4*j:], uint32(v))
-			}
-		case secScores:
-			encodeFloats(b, ds.Scores)
-		case secProbs:
-			encodeFloats(b, ds.Probs)
-		case secGroups:
-			for j, v := range ds.Groups {
-				binary.LittleEndian.PutUint32(b[4*j:], v)
-			}
-		case secTree:
-			copy(b, tree)
-		case secPairs:
-			for j, p := range ds.Pairs {
-				binary.LittleEndian.PutUint64(b[32*j:], math.Float64bits(p[0][0]))
-				binary.LittleEndian.PutUint64(b[32*j+8:], math.Float64bits(p[0][1]))
-				binary.LittleEndian.PutUint64(b[32*j+16:], math.Float64bits(p[1][0]))
-				binary.LittleEndian.PutUint64(b[32*j+24:], math.Float64bits(p[1][1]))
-			}
-		}
-		d := out[fixedHdrLen+i*secDescLen:]
-		binary.LittleEndian.PutUint32(d[0:], id)
-		binary.LittleEndian.PutUint32(d[4:], crc32.ChecksumIEEE(b))
-		binary.LittleEndian.PutUint64(d[8:], uint64(off))
-		binary.LittleEndian.PutUint64(d[16:], uint64(len(b)))
-		off += len(b)
-	}
-	tbl := out[fixedHdrLen : fixedHdrLen+len(order)*secDescLen]
-	binary.LittleEndian.PutUint32(out[fixedHdrLen+len(order)*secDescLen:], crc32.ChecksumIEEE(tbl))
-	return out, nil
-}
-
-func encodeFloats(b []byte, fs []float64) {
-	for i, f := range fs {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
-	}
+	return m.b, nil
 }
 
 func decodeFloats(b []byte) []float64 {

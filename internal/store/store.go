@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -128,56 +129,95 @@ func (s *Store) Import(name string, ds *Dataset) (Info, error) {
 	if err := CheckName(name); err != nil {
 		return Info{}, err
 	}
-	gen := uint64(1)
-	if old, err := s.Info(name); err == nil {
-		gen = old.Generation + 1
-	}
-	data, err := Encode(ds, gen)
-	if err != nil {
+	if err := ds.validate(); err != nil {
 		return Info{}, err
 	}
-	if err := s.writeAtomic(name, data); err != nil {
-		return Info{}, err
-	}
-	return Info{Name: name, Kind: ds.Kind, Tuples: ds.len(), Generation: gen, SizeBytes: int64(len(data))}, nil
+	return s.put(name, ds.Kind, ds.len(), s.nextGeneration(name), ds.writeSections)
 }
 
-// writeAtomic writes segment bytes to a temp file in the store directory,
-// syncs, renames it over the target and syncs the directory, so a returned
-// nil means the new segment survives a crash.
-func (s *Store) writeAtomic(name string, data []byte) error {
+// InputError is an ImportCSV failure caused by the dataset body itself —
+// a read, parse or validation error — rather than by the store. It reads
+// exactly as the error it wraps.
+type InputError struct{ Err error }
+
+func (e *InputError) Error() string { return e.Err.Error() }
+
+func (e *InputError) Unwrap() error { return e.Err }
+
+// ImportCSV parses a dataset body of the given kind (CSV for ind and
+// xrel, JSON for tree and chain) and imports it under name, exactly as
+// Parse followed by Import would: the same segment bytes, the same error
+// texts. An independent-tuple CSV goes straight from text to segment in
+// one streaming pass: the scanner keeps the columns in fixed-size blocks,
+// core.CanonicalOrder sorts them by permutation, and the sections stream
+// from the blocks in that order, so no sorted copy of the dataset is ever
+// built. The other kinds parse into a Dataset and Import it. Failures of
+// the body come back as *InputError; the rest are the store's.
+func (s *Store) ImportCSV(name, kind string, r io.Reader) (Info, error) {
+	if err := CheckName(name); err != nil {
+		return Info{}, err
+	}
+	if kind != KindIndependent {
+		ds, err := Parse(kind, r)
+		if err != nil {
+			return Info{}, &InputError{Err: err}
+		}
+		return s.Import(name, ds)
+	}
+	c, order, err := scanIndependent(r)
+	if err != nil {
+		return Info{}, &InputError{Err: err}
+	}
+	return s.put(name, KindIndependent, len(order), s.nextGeneration(name), c.independentSections(order))
+}
+
+// nextGeneration is the generation the next import of name gets: one past
+// the stored segment's, 1 if there is none.
+func (s *Store) nextGeneration(name string) uint64 {
+	if old, err := s.Info(name); err == nil {
+		return old.Generation + 1
+	}
+	return 1
+}
+
+// put writes one segment for name — emit streams its sections — to a temp
+// file in the store directory, syncs it, renames it over the target and
+// syncs the directory, so a returned nil means the new segment survives a
+// crash.
+func (s *Store) put(name, kind string, n int, gen uint64, emit func(*sectionWriter)) (Info, error) {
 	tmp, err := os.CreateTemp(s.dir, "."+name+".tmp*")
 	if err != nil {
-		return fmt.Errorf("store: importing %s: %w", name, err)
+		return Info{}, fmt.Errorf("store: importing %s: %w", name, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
+	size, err := writeSegment(tmp, kind, n, gen, emit)
+	if err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: importing %s: %w", name, err)
+		return Info{}, fmt.Errorf("store: importing %s: %w", name, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: importing %s: %w", name, err)
+		return Info{}, fmt.Errorf("store: importing %s: %w", name, err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: importing %s: %w", name, err)
+		return Info{}, fmt.Errorf("store: importing %s: %w", name, err)
 	}
 	if err := os.Rename(tmp.Name(), s.path(name)); err != nil {
-		return fmt.Errorf("store: importing %s: %w", name, err)
+		return Info{}, fmt.Errorf("store: importing %s: %w", name, err)
 	}
 	// The rename is durable only once the directory entry is synced.
 	d, err := os.Open(s.dir)
 	if err != nil {
-		return fmt.Errorf("store: importing %s: %w", name, err)
+		return Info{}, fmt.Errorf("store: importing %s: %w", name, err)
 	}
 	if err := d.Sync(); err != nil {
 		d.Close()
-		return fmt.Errorf("store: importing %s: %w", name, err)
+		return Info{}, fmt.Errorf("store: importing %s: %w", name, err)
 	}
 	if err := d.Close(); err != nil {
-		return fmt.Errorf("store: importing %s: %w", name, err)
+		return Info{}, fmt.Errorf("store: importing %s: %w", name, err)
 	}
-	return nil
+	return Info{Name: name, Kind: kind, Tuples: n, Generation: gen, SizeBytes: size}, nil
 }
 
 // Delete removes a dataset's segment. Open handles keep their snapshot.
@@ -240,14 +280,7 @@ func (s *Store) Compact(name string) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	data, err := Encode(ds, gen)
-	if err != nil {
-		return Info{}, err
-	}
-	if err := s.writeAtomic(name, data); err != nil {
-		return Info{}, err
-	}
-	return Info{Name: name, Kind: ds.Kind, Tuples: ds.len(), Generation: gen, SizeBytes: int64(len(data))}, nil
+	return s.put(name, ds.Kind, ds.len(), gen, ds.writeSections)
 }
 
 // OpenEngine opens one stored dataset as a prepared ranking engine.
