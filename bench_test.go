@@ -1,13 +1,12 @@
 // Benchmarks: one per reproduced table/figure (exercising that experiment's
-// computational kernel at a fixed size) plus micro-benchmarks for the core
-// algorithm kernels. The full table/figure reports are produced by
+// computational kernel at a fixed size), micro-benchmarks and ablations for
+// the core algorithm kernels, and BenchmarkSuite, the repeated-query suite
+// cmd/bench records. The full table/figure reports are produced by
 // cmd/experiments; these benches track the cost of the underlying machinery.
 package prf_test
 
 import (
-	"context"
 	"math/rand"
-	"net/http"
 	"testing"
 
 	prf "repro"
@@ -15,9 +14,7 @@ import (
 	"repro/internal/benchwork"
 	"repro/internal/datagen"
 	"repro/internal/dftapprox"
-	"repro/internal/engine"
 	"repro/internal/poly"
-	"repro/internal/serve"
 )
 
 // --- Table 1: the five baseline semantics on one dataset. ---
@@ -375,268 +372,22 @@ func benchGroups(n int) [][]prf.Alternative {
 	return groups
 }
 
-// --- Prepared-evaluation engine: repeated-query workloads (BENCH_1). ---
-//
-// The workload bodies live in internal/benchwork and are shared with
-// cmd/bench, so the BENCH_N.json trajectory measures exactly these benches.
+// --- The repeated-query suite (BENCH_N.json). ---
 
-// BenchmarkPreparedVsOneShot measures an α-spectrum value sweep (PRFeLog at
-// 16 grid points, the Figure 11 kernel) at n=10⁴. The one-shot path
-// rebuilds and re-sorts a view per query; the prepared path sorts once and
-// then runs pure scans; the parallel path additionally fans the sweep across
-// GOMAXPROCS goroutines. "ranked-*" are the same sweeps producing full
-// rankings (adds an O(n log n) sort-by-value per grid point to both paths).
-func BenchmarkPreparedVsOneShot(b *testing.B) {
-	d := benchwork.Dataset(10000)
-	alphas, calphas := benchwork.Grid(16)
-	b.Run("oneshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.SpectrumOneShot(d, calphas)
-		}
-	})
-	b.Run("prepared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.SpectrumPrepared(d, calphas)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.SpectrumParallel(d, calphas)
-		}
-	})
-	b.Run("ranked-oneshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.RankedOneShot(d, alphas)
-		}
-	})
-	b.Run("ranked-prepared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.RankedPrepared(d, alphas)
-		}
-	})
-	b.Run("ranked-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.RankedParallel(d, alphas)
-		}
-	})
-}
-
-// BenchmarkPRFeComboFused compares the pre-fusion multi-pass PRFeCombo (one
-// scan of the data per term) against the fused single-pass kernel and the
-// parallel-by-term variant, at n=10⁴ with a 20-term PT(1000) approximation.
-func BenchmarkPRFeComboFused(b *testing.B) {
-	d := benchwork.Dataset(10000)
-	terms := benchwork.Terms(20)
-	v := prf.Prepare(d)
-	b.Run("multipass", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.ComboMultiPass(v, terms)
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.ComboFused(v, terms)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.ComboParallel(v, terms)
-		}
-	})
-	b.Run("oneshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.ComboOneShot(d, terms)
-		}
-	})
-}
-
-// BenchmarkParallelSpectrum isolates the ranked-sweep strategies over one
-// shared prepared view, 32-point sweep: serial re-sort per α, per-α
-// parallel fan-out, and the kinetic sweep (sort once, advance by
-// Theorem 4 crossings — what QueryRankPRFeBatch picks for a monotone grid).
-func BenchmarkParallelSpectrum(b *testing.B) {
-	d := benchwork.Dataset(10000)
-	v := prf.Prepare(d)
-	alphas, _ := benchwork.Grid(32)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, a := range alphas {
-				_ = v.RankPRFe(a)
+// BenchmarkSuite runs every arm of the internal/benchwork registry at the
+// full preset: the arms cmd/bench measures into BENCH_N.json, under the
+// same names.
+func BenchmarkSuite(b *testing.B) {
+	s := benchwork.New(benchwork.Full)
+	defer s.Close()
+	for _, a := range s.Arms {
+		b.Run(a.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.Op()
 			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		// Descending, so the dispatcher takes the per-α parallel arm.
-		desc := make([]float64, len(alphas))
-		for i, a := range alphas {
-			desc[len(alphas)-1-i] = a
-		}
-		for i := 0; i < b.N; i++ {
-			_, _ = v.QueryRankPRFeBatch(context.Background(), desc)
-		}
-	})
-	b.Run("kinetic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = v.RankPRFeSweep(context.Background(), alphas)
-		}
-	})
-}
-
-// BenchmarkCrossingPoint compares the Theorem 4 crossing-point solvers on a
-// fixed mixed-span pair set: the incremental Newton/secant solver with the
-// hoisted α-independent terms vs the original full-pass bisection.
-func BenchmarkCrossingPoint(b *testing.B) {
-	d := benchwork.Dataset(10000)
-	v := prf.Prepare(d)
-	pairs := benchwork.CrossingPairs(10000, 64)
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.CrossingIncremental(v, pairs)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.CrossingReference(v, pairs)
-		}
-	})
-}
-
-// BenchmarkCorrelatedPRFe covers the correlated-data trajectory: PRFe on
-// and/xor trees (x-tuple and deep-correlation shapes) and the Markov-chain
-// partial-sum DP.
-func BenchmarkCorrelatedPRFe(b *testing.B) {
-	xorTree := benchwork.XTupleTree(10000)
-	deepTree := benchwork.DeepTree(10000)
-	chain := benchwork.MarkovChain(200)
-	b.Run("andxor-xor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.TreePRFe(xorTree)
-		}
-	})
-	b.Run("andxor-high", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.TreePRFe(deepTree)
-		}
-	})
-	b.Run("junction-chain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.ChainPRFe(chain)
-		}
-	})
-	b.Run("junction-chain-dp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.ChainPRFeDP(chain)
-		}
-	})
-}
-
-// BenchmarkCorrelatedPrepared covers the PR 3 prepared engine for correlated
-// data: α sweeps and term combinations on and/xor trees via PreparedTree
-// (sort + evaluation state amortized), the Markov-chain product-tree sweep,
-// and the junction-tree prepared path (build + DP once, fold per α).
-func BenchmarkCorrelatedPrepared(b *testing.B) {
-	xorTree := benchwork.XTupleTree(10000)
-	preparedXor := benchwork.PrepareTree(xorTree)
-	chain := benchwork.MarkovChain(200)
-	net := benchwork.ChainNetwork(benchwork.MarkovChain(100))
-	_, calphas := benchwork.Grid(16)
-	_, netCalphas := benchwork.Grid(8)
-	terms := benchwork.Terms(20)
-	b.Run("andxor-sweep-oneshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.TreeSweepOneShot(xorTree, calphas)
-		}
-	})
-	b.Run("andxor-sweep-prepared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.TreeSweepPrepared(xorTree, calphas)
-		}
-	})
-	b.Run("andxor-combo-prepared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.TreeComboPrepared(preparedXor, terms)
-		}
-	})
-	b.Run("chain-sweep-prepared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.ChainSweepPrepared(chain, calphas)
-		}
-	})
-	b.Run("network-sweep-oneshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.NetworkSweepOneShot(net, netCalphas)
-		}
-	})
-	b.Run("network-sweep-prepared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.NetworkSweepPrepared(net, netCalphas)
-		}
-	})
-}
-
-// BenchmarkDashboard measures the PR 5 engine-level result cache on the
-// repeated-dashboard workload: one op is a full dashboard refresh (the
-// panel query mix plus a ranked α sweep), uncached vs answered from the
-// canonical-query cache (warmed; steady-state hits).
-func BenchmarkDashboard(b *testing.B) {
-	e := benchwork.NewEngine(prf.Prepare(benchwork.Dataset(10000)))
-	qs := benchwork.DashboardQueries(10)
-	sweep := benchwork.DashboardSweep(16)
-	ce := benchwork.NewCachedEngine(e, 0)
-	benchwork.CachedDashboard(ce, qs, sweep) // warm
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.EngineDashboard(e, qs, sweep)
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.CachedDashboard(ce, qs, sweep)
-		}
-	})
-}
-
-// BenchmarkServeRoundTrip measures full HTTP round trips through the
-// internal/serve front end (PR 5): a PRFe top-k panel against an uncached
-// and a cached (warmed) dataset.
-func BenchmarkServeRoundTrip(b *testing.B) {
-	v := prf.Prepare(benchwork.Dataset(10000))
-	client := &http.Client{}
-	body := benchwork.ServeRankBody("bench", 0.95, 10)
-	uncached := benchwork.StartServeFixtureOpts(map[string]*engine.Engine{"bench": benchwork.NewEngine(v)},
-		serve.Options{CacheCapacity: -1, ByteCacheCapacity: -1})
-	defer uncached.Close()
-	cached := benchwork.StartServeFixture(map[string]*engine.Engine{"bench": benchwork.NewEngine(v)}, 0)
-	defer cached.Close()
-	benchwork.ServeRoundTrip(client, cached.URL+"/rank", body) // warm
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.ServeRoundTrip(client, uncached.URL+"/rank", body)
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchwork.ServeRoundTrip(client, cached.URL+"/rank", body)
-		}
-	})
-}
-
-// BenchmarkExactSpectrum measures the exact kinetic spectrum enumeration
-// (every crossing event popped and counted) against the sampled grid count
-// on a dataset small enough for the full event walk.
-func BenchmarkExactSpectrum(b *testing.B) {
-	d := benchwork.Dataset(300)
-	v := prf.Prepare(d)
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = v.SpectrumSize()
-		}
-	})
-	b.Run("grid64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = v.SpectrumSizeGrid(64)
-		}
-	})
+		})
+	}
 }
 
 // Local aliases keeping the poly ablation bench self-contained.

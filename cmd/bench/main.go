@@ -11,44 +11,23 @@
 //	bench -load-conc 32 -load-dur 2s  # size the load-generator arm
 //	bench -out NEW.json -baseline OLD.json  # also record before/after pairs
 //
-// The workload bodies are shared with the root bench_test.go suite via
-// internal/benchwork, so the JSON records exactly what `go test -bench`
-// measures:
+// The arms come from the registry in internal/benchwork: benchwork.New
+// returns them in report order (spectrum and ranked-spectrum sweeps,
+// crossing solvers, spectrum sizes, PRFe combinations, correlated backends,
+// the unified engine and its cache, the consensus semantics, the
+// independent-view kernels, α learning, HTTP serving and the persistent
+// store) together with the ratio table that derives the speedup keys, and
+// the root package's BenchmarkSuite runs the same arms under
+// `go test -bench`. A full run measures them at the benchwork.Full preset,
+// whose sizes -n, -grid, -terms and -chain override, and the store arms
+// (benchwork.NewStore) again at -store-n. Beside them the report records
+// what is not an ns/op arm:
 //
-//   - spectrum: PRFeLog at every point of an α grid (the Figure 11 kernel),
-//     one-shot (rebuild + re-sort per query) vs prepared (sort once) vs
-//     parallel batch;
-//   - ranked-spectrum: the same sweep producing full rankings — one-shot vs
-//     prepared (re-sort per α) vs parallel vs the kinetic sweep (sort once,
-//     advance by Theorem 4 adjacent-pair crossings);
-//   - crossing: the Theorem 4 crossing-point solver, incremental
-//     Newton/secant vs the bisection reference, over mixed-span pairs;
-//   - combo: an L-term PRFe linear combination (the Figure 8 kernel),
-//     multi-pass (one scan per term) vs fused single-pass vs parallel-by-term
-//     vs one-shot (prepare per call);
-//   - correlated: PRFe, α sweeps and PRFe combinations on and/xor trees
-//     (Syn-XOR x-tuples and Syn-HIGH deep correlation), the Section 9.3
-//     Markov chain (product-tree prepared path vs the Θ(n³) partial-sum DP,
-//     and a cold PT(h) on the truncated DP)
-//     and the Section 9.4 junction tree (prepared vs one-shot);
-//   - engine: the unified Ranker engine (PR 4). ONE generic sweep body runs
-//     against all four backends through Engine.RankBatch dispatch; the
-//     `engine * overhead` entries certify dispatch cost (≤ 5%);
-//   - engine/cached: the PR 5 engine-level result cache on the
-//     repeated-dashboard workload (a panel mix re-issued per refresh) —
-//     cached refreshes must be ≥ 5x the uncached engine;
-//   - serve: HTTP round trips through the internal/serve front end — the
-//     uncached path, the engine-cache-only path, the full wire path
-//     (encoded-byte cache, one Write per hot hit), the gzip-negotiated and
-//     streamed variants, and a cold-storm pair measuring the single-flight
-//     latch (wall time for N identical cold requests, latch on vs off);
+//   - a cold-storm pair measuring the single-flight latch: wall time for
+//     N identical cold requests, latch on vs off;
 //   - load: a vegeta-style closed-loop load generator (QPS, p50/p95/p99
 //     latency, allocated bytes per request under -load-conc concurrent
-//     clients for -load-dur) against the in-process fixture or -load-addr;
-//   - sharded: the PT(h) ladder answered one depth at a time, the
-//     log-domain PRFe kernel and the E-Rank prefix-sum kernel on the
-//     independent view (arm names kept from earlier reports), plus the
-//     Section 5.2 α-learning loop.
+//     clients for -load-dur) against the in-process fixture or -load-addr.
 //
 // Modes beyond the full measured run:
 //
@@ -67,12 +46,9 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"runtime"
 	"sort"
@@ -84,7 +60,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/serve"
-	"repro/internal/store"
 )
 
 // Result is one measured benchmark case.
@@ -114,20 +89,17 @@ type Section struct {
 
 // Report is the full BENCH_N.json payload: the full-size section inline
 // (compatible with earlier BENCH files) plus a quick-measured smoke-size
-// section for the size-for-size regression gate.
+// section for the size-for-size regression gate. The top-level GOMAXPROCS
+// and NumCPU shadow the embedded section's in JSON, which keeps the field
+// order of earlier reports.
 type Report struct {
-	GoVersion  string             `json:"go_version"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	NumCPU     int                `json:"num_cpu,omitempty"`
-	N          int                `json:"dataset_size"`
-	GridPoints int                `json:"spectrum_grid_points"`
-	ComboTerms int                `json:"combo_terms"`
-	ChainN     int                `json:"chain_length"`
-	Results    []Result           `json:"results"`
-	Speedups   map[string]float64 `json:"speedups"`
-	Load       *LoadReport        `json:"load,omitempty"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu,omitempty"`
+	Section
+	Load *LoadReport `json:"load,omitempty"`
 	// Store holds the persistent-store arms re-run at -store-n (the
 	// cold-open acceptance size), separate from the full-size section.
 	Store *Section `json:"store,omitempty"`
@@ -235,239 +207,27 @@ func printResult(r Result) {
 		r.Name, r.MsPerOp, r.Iters, r.AllocsOp, r.BytesOp)
 }
 
-// runSuite builds every workload at the given sizes and measures (or, with
-// a nil measure, just runs) each one.
-func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
-	sec := Section{N: n, GridPoints: grid, ComboTerms: terms, ChainN: chainN,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Speedups: map[string]float64{}}
-	// add measures one arm.
-	add := func(name string, op func()) Result {
-		if meas == nil {
-			op()
-			fmt.Printf("%-44s ok\n", name)
-			return Result{Name: name}
-		}
-		r := meas(name, op)
-		sec.Results = append(sec.Results, r)
-		printResult(r)
-		return r
-	}
-
-	d := benchwork.Dataset(n)
-	alphas, calphas := benchwork.Grid(grid)
-	expTerms := benchwork.Terms(terms)
-	v := core.Prepare(d)
-	pairs := benchwork.CrossingPairs(n, 64)
-	xorTree := benchwork.XTupleTree(n)
-	deepTree := benchwork.DeepTree(n)
-	chain := benchwork.MarkovChain(chainN)
-	// The one-shot junction arm re-triangulates and re-runs the Θ(n³) DP per
-	// grid point, so the generic-network sweep runs on a shorter chain and a
-	// sub-grid to keep the suite's wall clock sane.
-	netN := chainN / 2
-	if netN < 2 {
-		netN = 2
-	}
-	net := benchwork.ChainNetwork(benchwork.MarkovChain(netN))
-	netGrid := grid / 2
-	if netGrid < 1 {
-		netGrid = 1
-	}
-	_, netCalphas := benchwork.Grid(netGrid)
-
-	spOne := add("spectrum/oneshot", func() { benchwork.SpectrumOneShot(d, calphas) })
-	spPrep := add("spectrum/prepared", func() { benchwork.SpectrumPrepared(d, calphas) })
-	spPar := add("spectrum/parallel", func() { benchwork.SpectrumParallel(d, calphas) })
-
-	rkOne := add("ranked-spectrum/oneshot", func() { benchwork.RankedOneShot(d, alphas) })
-	rkPrep := add("ranked-spectrum/prepared", func() { benchwork.RankedPrepared(d, alphas) })
-	rkPar := add("ranked-spectrum/parallel", func() { benchwork.RankedParallel(d, alphas) })
-	rkKin := add("ranked-spectrum/kinetic", func() { benchwork.RankedKinetic(d, alphas) })
-
-	crRef := add("crossing/reference", func() { benchwork.CrossingReference(v, pairs) })
-	crInc := add("crossing/incremental", func() { benchwork.CrossingIncremental(v, pairs) })
-
-	cbMulti := add("combo/multipass", func() { benchwork.ComboMultiPass(v, expTerms) })
-	cbFused := add("combo/fused", func() { benchwork.ComboFused(v, expTerms) })
-	cbPar := add("combo/parallel", func() { benchwork.ComboParallel(v, expTerms) })
-	cbOne := add("combo/oneshot", func() { benchwork.ComboOneShot(d, expTerms) })
-
-	add("correlated/andxor-xor-prfe", func() { benchwork.TreePRFe(xorTree) })
-	add("correlated/andxor-high-prfe", func() { benchwork.TreePRFe(deepTree) })
-	axSwOne := add("correlated/andxor-xor-sweep-oneshot", func() { benchwork.TreeSweepOneShot(xorTree, calphas) })
-	axSwPrep := add("correlated/prepared/andxor-xor-sweep", func() { benchwork.TreeSweepPrepared(xorTree, calphas) })
-	hiSwOne := add("correlated/andxor-high-sweep-oneshot", func() { benchwork.TreeSweepOneShot(deepTree, calphas) })
-	hiSwPrep := add("correlated/prepared/andxor-high-sweep", func() { benchwork.TreeSweepPrepared(deepTree, calphas) })
-	axCbOne := add("correlated/andxor-xor-combo", func() { benchwork.TreeCombo(xorTree, expTerms) })
-	preparedXorTree := benchwork.PrepareTree(xorTree)
-	axCbPrep := add("correlated/prepared/andxor-xor-combo", func() { benchwork.TreeComboPrepared(preparedXorTree, expTerms) })
-
-	chDP := add("correlated/junction-chain-prfe-dp", func() { benchwork.ChainPRFeDP(chain) })
-	chFast := add("correlated/junction-chain-prfe", func() { benchwork.ChainPRFe(chain) })
-	chSweep := add("correlated/prepared/chain-sweep", func() { benchwork.ChainSweepPrepared(chain, calphas) })
-	add("correlated/chain-pth-cold", func() { benchwork.ChainPThCold(chain, 10) })
-	netOne := add("correlated/junction-network-sweep-oneshot", func() { benchwork.NetworkSweepOneShot(net, netCalphas) })
-	netPrep := add("correlated/prepared/network-sweep", func() { benchwork.NetworkSweepPrepared(net, netCalphas) })
-
-	// Unified-engine arms: one generic sweep body, four backends. The
-	// independent arms pair engine dispatch against the direct prepared
-	// calls; preparation is hoisted on both sides so the pairs measure
-	// exactly the dispatch overhead.
-	netAlphas := make([]float64, len(netCalphas))
-	for i, ca := range netCalphas {
-		netAlphas[i] = real(ca)
-	}
-	engIndep := benchwork.NewEngine(v)
-	engTree := benchwork.NewEngine(preparedXorTree)
-	engChain := benchwork.NewEngine(benchwork.PrepareChain(chain))
-	engNet := benchwork.NewEngine(benchwork.PrepareNetwork(net))
-	dirRank := add("engine/direct-rank-sweep", func() { benchwork.DirectRankSweep(v, alphas) })
-	engRank := add("engine/rank-sweep", func() { benchwork.EngineRankSweep(engIndep, alphas) })
-	dirTopK := add("engine/direct-topk-sweep", func() { benchwork.DirectTopKSweep(v, alphas, 10) })
-	engTopK := add("engine/topk-sweep", func() { benchwork.EngineTopKSweep(engIndep, alphas, 10) })
-	add("engine/tree-rank-sweep", func() { benchwork.EngineRankSweep(engTree, alphas) })
-	add("engine/chain-rank-sweep", func() { benchwork.EngineRankSweep(engChain, alphas) })
-	add("engine/network-rank-sweep", func() { benchwork.EngineRankSweep(engNet, netAlphas) })
-	add("engine/tree-value-sweep", func() { benchwork.EngineValueSweep(engTree, alphas) })
-
-	// Consensus-semantics arms (PR 8): the Global-Topk, Expected-Rank and
-	// Median-Rank metrics promoted to first-class engine dispatch.
-	add("semantics/globaltopk-ranking", func() {
-		benchwork.EngineSemanticRanking(engIndep, engine.MetricGlobalTopk, 10)
-	})
-	add("semantics/expectedrank-ranking", func() {
-		benchwork.EngineSemanticRanking(engIndep, engine.MetricExpectedRank, 10)
-	})
-	add("semantics/medianrank-ranking", func() {
-		benchwork.EngineSemanticRanking(engIndep, engine.MetricMedianRank, 10)
-	})
-
-	// Engine-level cache arms (PR 5): one dashboard refresh = the panel mix
-	// plus the ranked sweep. The cached engine is warmed before measurement
-	// so ops measure steady-state hits (the realistic repeated-dashboard
-	// regime); correctness of warm answers is certified in cache_test.go.
-	dashQs := benchwork.DashboardQueries(10)
-	dashSweep := benchwork.DashboardSweep(grid)
-	cachedEng := benchwork.NewCachedEngine(engIndep, 0)
-	benchwork.CachedDashboard(cachedEng, dashQs, dashSweep) // warm
-	dashUn := add("engine/dashboard", func() { benchwork.EngineDashboard(engIndep, dashQs, dashSweep) })
-	dashHot := add("engine/cached/dashboard", func() { benchwork.CachedDashboard(cachedEng, dashQs, dashSweep) })
-
-	// Independent-view kernel arms: the PT(h) ladder answered one depth at
-	// a time, the log-domain PRFe kernel, the E-Rank prefix-sum kernel and
-	// the Section 5.2 α-learning loop. The arm names are kept so the
-	// trajectory stays comparable with earlier reports.
-	hs := benchwork.Ladder(10, 10)
-	add("sharded/pth-ladder-perh", func() { benchwork.LadderPerH(v, hs) })
-	add("sharded/prfelog-scalar", func() { benchwork.PRFeLogScalar(v, complex(0.95, 0)) })
-	add("sharded/erank-scalar", func() { benchwork.ERankScalar(v) })
-	learnUser := benchwork.LearnUserRanking(v)
-	add("learn/alpha-fit", func() { benchwork.LearnAlphaWorkload(v, learnUser, 10, 3) })
-
-	// Serving-layer arms: full HTTP round trips against the in-process
-	// front end. Three cache configurations isolate the layers: no caches,
-	// engine-level result cache only (a hit still re-encodes the body), and
-	// the full wire path (byte cache: a hit is one Write of pre-encoded
-	// bytes). Plus the gzip-negotiated and streamed variants of the sweep.
-	serveEngines := func() map[string]*engine.Engine {
-		return map[string]*engine.Engine{"bench": benchwork.NewEngine(v)}
-	}
-	uncachedSrv := benchwork.StartServeFixtureOpts(serveEngines(),
-		serve.Options{CacheCapacity: -1, ByteCacheCapacity: -1})
-	defer uncachedSrv.Close()
-	engCacheSrv := benchwork.StartServeFixtureOpts(serveEngines(),
-		serve.Options{CacheCapacity: 0, ByteCacheCapacity: -1})
-	defer engCacheSrv.Close()
-	cachedSrv := benchwork.StartServeFixture(serveEngines(), 0) // full wire path
-	defer cachedSrv.Close()
-	client := &http.Client{}
-	rankBody := benchwork.ServeRankBody("bench", 0.95, 10)
-	batchBody := benchwork.ServeBatchBody("bench", grid)
-	streamBody := benchwork.ServeBatchStreamBody("bench", grid)
-	for _, srv := range []string{engCacheSrv.URL, cachedSrv.URL} { // warm
-		benchwork.ServeRoundTrip(client, srv+"/rank", rankBody)
-		benchwork.ServeRoundTrip(client, srv+"/rankbatch", batchBody)
-	}
-	benchwork.ServeRoundTripGzip(client, cachedSrv.URL+"/rankbatch", batchBody) // warm the gzip variant
-	srvUn := add("serve/rank-topk", func() { benchwork.ServeRoundTrip(client, uncachedSrv.URL+"/rank", rankBody) })
-	srvHot := add("serve/cached/rank-topk", func() { benchwork.ServeRoundTrip(client, cachedSrv.URL+"/rank", rankBody) })
-	srvBatchUn := add("serve/rankbatch-sweep", func() { benchwork.ServeRoundTrip(client, uncachedSrv.URL+"/rankbatch", batchBody) })
-	srvBatchEng := add("serve/enginecache/rankbatch-sweep", func() { benchwork.ServeRoundTrip(client, engCacheSrv.URL+"/rankbatch", batchBody) })
-	srvBatchHot := add("serve/cached/rankbatch-sweep", func() { benchwork.ServeRoundTrip(client, cachedSrv.URL+"/rankbatch", batchBody) })
-	srvBatchGz := add("serve/cached/rankbatch-sweep-gzip", func() { benchwork.ServeRoundTripGzip(client, cachedSrv.URL+"/rankbatch", batchBody) })
-	add("serve/rankbatch-stream", func() { benchwork.ServeRoundTrip(client, uncachedSrv.URL+"/rankbatch", streamBody) })
-
-	// Persistent-store arms (PR 10): the disk-backed segment path against
-	// the CSV text path it replaces. Cold-open decodes a segment and fully
-	// materializes the sorted view; the cold top-k arm answers through the
-	// certified partial-materialization path, reading only a prefix.
-	runStoreArms(n, add, sec.Speedups, meas != nil, "")
+// runSuite measures (or, with a nil measure, just runs) every registry arm
+// at cfg, then the cold-storm pair.
+func runSuite(cfg benchwork.Config, meas measureFunc) Section {
+	s := benchwork.New(cfg)
+	defer s.Close()
+	sec := measureArms(s, meas)
+	sec.N, sec.GridPoints, sec.ComboTerms, sec.ChainN = cfg.N, cfg.Grid, cfg.Terms, cfg.ChainN
 
 	// Cold-storm pair: wall time for rounds × conc identical never-seen
 	// requests, wire-layer single-flight on vs off. Wall-time measured (not
-	// ns/op): the latch's value is what N callers experience together. The
-	// no-latch fixture disables the whole byte layer (cache AND latch), not
-	// just the latch: a byte cache without a latch still absorbs most of a
-	// storm on a small machine by racy fill (whoever encodes first wins),
-	// which would measure the race, not the layer. Each fixture still
-	// evaluates once per round — the latch fixture through the wire-layer
-	// flight, the no-latch one through the engine-level cache and flight a
-	// dataset gets when its byte cache is off — so the ratio isolates the
-	// wire layer: one encode+compress per round versus one per caller.
+	// ns/op): the latch's value is what N callers experience together.
 	stormConc, stormRounds := 32, 4
-	if meas == nil || n <= 1000 {
+	if meas == nil || cfg.N <= 1000 {
 		stormConc, stormRounds = 8, 2
 	}
-	stormLatch := benchwork.StartServeFixture(serveEngines(), 0)
-	defer stormLatch.Close()
-	stormNoLatch := benchwork.StartServeFixtureOpts(serveEngines(),
-		serve.Options{CacheCapacity: 0, ByteCacheCapacity: -1, DisableSingleFlight: true})
-	defer stormNoLatch.Close()
-	stormBody := func(round int) []byte { return benchwork.ServeBatchStormBody("bench", grid, round) }
-	latchTime := benchwork.ColdStorm(stormLatch.URL+"/rankbatch", stormConc, stormRounds, stormBody)
-	noLatchTime := benchwork.ColdStorm(stormNoLatch.URL+"/rankbatch", stormConc, stormRounds, stormBody)
+	latchTime, noLatchTime := s.ColdStorm(stormConc, stormRounds)
 	fmt.Printf("%-44s %12.3f ms wall (%d×%d requests, latch on)\n",
 		"serve/cold-storm/single-flight", float64(latchTime.Nanoseconds())/1e6, stormRounds, stormConc)
 	fmt.Printf("%-44s %12.3f ms wall (%d×%d requests, latch off)\n",
 		"serve/cold-storm/no-latch", float64(noLatchTime.Nanoseconds())/1e6, stormRounds, stormConc)
-
-	if meas == nil {
-		return sec
-	}
-
-	sec.Speedups["spectrum prepared vs oneshot"] = spOne.NsPerOp / spPrep.NsPerOp
-	sec.Speedups["spectrum parallel vs oneshot"] = spOne.NsPerOp / spPar.NsPerOp
-	sec.Speedups["ranked spectrum prepared vs oneshot"] = rkOne.NsPerOp / rkPrep.NsPerOp
-	sec.Speedups["ranked spectrum parallel vs oneshot"] = rkOne.NsPerOp / rkPar.NsPerOp
-	sec.Speedups["ranked spectrum kinetic vs oneshot"] = rkOne.NsPerOp / rkKin.NsPerOp
-	sec.Speedups["ranked spectrum kinetic vs prepared"] = rkPrep.NsPerOp / rkKin.NsPerOp
-	sec.Speedups["crossing incremental vs reference"] = crRef.NsPerOp / crInc.NsPerOp
-	sec.Speedups["combo fused vs multipass"] = cbMulti.NsPerOp / cbFused.NsPerOp
-	sec.Speedups["combo fused vs oneshot"] = cbOne.NsPerOp / cbFused.NsPerOp
-	sec.Speedups["combo parallel vs multipass"] = cbMulti.NsPerOp / cbPar.NsPerOp
-	sec.Speedups["andxor xor sweep prepared vs oneshot"] = axSwOne.NsPerOp / axSwPrep.NsPerOp
-	sec.Speedups["andxor high sweep prepared vs oneshot"] = hiSwOne.NsPerOp / hiSwPrep.NsPerOp
-	sec.Speedups["andxor combo prepared vs oneshot"] = axCbOne.NsPerOp / axCbPrep.NsPerOp
-	sec.Speedups["chain prfe product-tree vs DP"] = chDP.NsPerOp / chFast.NsPerOp
-	sec.Speedups["chain sweep prepared vs per-query DP"] =
-		chDP.NsPerOp * float64(grid) / chSweep.NsPerOp
-	sec.Speedups["network sweep prepared vs oneshot"] = netOne.NsPerOp / netPrep.NsPerOp
-	// Dispatch-overhead ratios (engine time / direct time): the api_redesign
-	// acceptance criterion is ≤ 1.05 on the ranked and top-k α-sweep pairs.
-	sec.Speedups["engine rank sweep overhead (engine/direct)"] = engRank.NsPerOp / dirRank.NsPerOp
-	sec.Speedups["engine topk sweep overhead (engine/direct)"] = engTopK.NsPerOp / dirTopK.NsPerOp
-	// Cache and serving headlines (PR 5): the ci acceptance criterion is
-	// ≥ 5x on the cached dashboard.
-	sec.Speedups["engine cached dashboard vs uncached"] = dashUn.NsPerOp / dashHot.NsPerOp
-	sec.Speedups["serve cached rank vs uncached"] = srvUn.NsPerOp / srvHot.NsPerOp
-	sec.Speedups["serve cached sweep vs uncached"] = srvBatchUn.NsPerOp / srvBatchHot.NsPerOp
-	// Wire-path headlines (PR 6): the perf_opt acceptance criteria are a
-	// ≥ 5x hot cached HTTP sweep vs the BENCH_5 serve/cached arm (the byte
-	// cache skips the re-encode the engine cache still pays) and a ≥ 3x
-	// single-flight win on the cold storm.
-	sec.Speedups["serve byte-cache sweep vs engine-cache"] = srvBatchEng.NsPerOp / srvBatchHot.NsPerOp
-	sec.Speedups["serve cached gzip sweep vs uncached"] = srvBatchUn.NsPerOp / srvBatchGz.NsPerOp
-	if n > 1000 {
+	if meas != nil && cfg.N > 1000 {
 		// At smoke sizes a cold evaluation is cheaper than an HTTP round
 		// trip, so the storm ratio is connection noise — recording it
 		// would hand the regression gate a coin flip. Full sizes only.
@@ -477,97 +237,31 @@ func runSuite(n, grid, terms, chainN int, meas measureFunc) Section {
 	return sec
 }
 
-// runStoreArms registers the persistent-store workloads at size n: the CSV
-// parse+prepare baseline (the path every load took before the store), the
-// admin import (ImportCSV: the CSV streamed into a durable segment, what
-// every POST /datasets/{name} pays), the segment cold open (header +
-// checksum-verified section reads + FromSorted, no text parsing, no sort),
-// and the cold certified top-k (partial materialization: only a
-// score-order prefix is read, the tail is bounded away). Speedup keys get keySuffix appended so the -store-n trajectory can
-// coexist with the in-suite arms.
-func runStoreArms(n int, add func(name string, op func()) Result,
-	speedups map[string]float64, measured bool, keySuffix string) {
-	d := benchwork.Dataset(n)
-	var csv bytes.Buffer
-	for _, t := range d.Tuples() {
-		fmt.Fprintf(&csv, "%v,%v\n", t.Score, t.Prob)
+// measureArms measures (or, with a nil measure, just runs) every arm of s
+// in order and derives its speedup keys from the measured timings.
+func measureArms(s *benchwork.Suite, meas measureFunc) Section {
+	sec := Section{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Speedups: map[string]float64{}}
+	nsPerOp := map[string]float64{}
+	for _, a := range s.Arms {
+		if meas == nil {
+			a.Op()
+			fmt.Printf("%-44s ok\n", a.Name)
+			continue
+		}
+		r := meas(a.Name, a.Op)
+		sec.Results = append(sec.Results, r)
+		nsPerOp[a.Name] = r.NsPerOp
+		printResult(r)
 	}
-	ds, err := store.Parse(store.KindIndependent, bytes.NewReader(csv.Bytes()))
-	if err != nil {
-		panic(err) // fixture invariant: datagen output always parses
+	if meas != nil {
+		sec.Speedups = s.Speedups(nsPerOp)
 	}
-	dir, err := os.MkdirTemp("", "prfbench-store-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	st, err := store.Open(dir)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := st.Import("bench", ds); err != nil {
-		panic(err)
-	}
-	ctx := context.Background()
-
-	csvArm := add("store/csv-parse-prepare", func() {
-		ds2, err := store.Parse(store.KindIndependent, bytes.NewReader(csv.Bytes()))
-		if err != nil {
-			panic(err)
-		}
-		if _, err := ds2.Engine(); err != nil {
-			panic(err)
-		}
-	})
-	add("store/admin-import", func() {
-		if _, err := st.ImportCSV("bench-import", store.KindIndependent, bytes.NewReader(csv.Bytes())); err != nil {
-			panic(err)
-		}
-	})
-	coldArm := add("store/cold-open", func() {
-		h, err := st.OpenHandle("bench")
-		if err != nil {
-			panic(err)
-		}
-		// Materialize owns and closes the handle.
-		if _, err := store.NewLazy(h).Materialize(ctx); err != nil {
-			panic(err)
-		}
-	})
-	var readFraction float64 // file size over bytes read, from the last run
-	topkArm := add("store/topk-cold-partial", func() {
-		h, err := st.OpenHandle("bench")
-		if err != nil {
-			panic(err)
-		}
-		lz := store.NewLazy(h)
-		if _, err := lz.QueryTopKPRFeBatch(ctx, []float64{0.95}, 10); err != nil {
-			panic(err)
-		}
-		if br := lz.BytesRead(); br > 0 {
-			readFraction = float64(h.SizeBytes()) / float64(br)
-		}
-		_ = h.Close() // already closed if the query fell back to a full load
-	})
-	if !measured {
-		return
-	}
-	speedups["store cold-open vs csv parse+prepare"+keySuffix] = csvArm.NsPerOp / coldArm.NsPerOp
-	speedups["store cold topk vs cold full open"+keySuffix] = coldArm.NsPerOp / topkArm.NsPerOp
-	// o(n) evidence for the partial path: how many times over the top-k
-	// query could have re-read the file with the bytes it did not touch.
-	// ~1 when the dataset is too small for partial eligibility (the query
-	// falls back to a full load), large when only a prefix was needed.
-	speedups["store cold topk file bytes over bytes read"+keySuffix] = readFraction
+	return sec
 }
 
 func main() {
 	var (
 		out       = flag.String("out", "", "output JSON path (required for a full run; in -smoke mode: no file unless set)")
-		n         = flag.Int("n", 10000, "dataset size")
-		grid      = flag.Int("grid", 16, "α grid points for the spectrum sweeps")
-		terms     = flag.Int("terms", 20, "terms in the PRFe combination")
-		chainN    = flag.Int("chain", 200, "Markov-chain length (the DP arm is cubic: keep small)")
 		smoke     = flag.Bool("smoke", false, "run every workload once at tiny sizes (with -out: quick-measure and write a report)")
 		diff      = flag.Bool("diff", false, "compare two reports: bench -diff OLD.json NEW.json")
 		warnRatio = flag.Float64("warn-ratio", 1.5, "-diff: annotate speedup regressions beyond this ratio")
@@ -575,9 +269,14 @@ func main() {
 		loadConc  = flag.Int("load-conc", 32, "load arm: concurrent clients")
 		loadDur   = flag.Duration("load-dur", 2*time.Second, "load arm: run duration (0 disables the load arm)")
 		loadAddr  = flag.String("load-addr", "", "load arm: external server base URL (default: in-process fixture)")
-		storeN    = flag.Int("store-n", 100000, "persistent-store trajectory: dataset size for the cold-open arms (0 disables)")
 		baseline  = flag.String("baseline", "", "full run: an earlier report measured on this host (e.g. of the parent commit); every shared full-size and store arm is recorded as a before/after pair")
 	)
+	cfg := benchwork.Full
+	flag.IntVar(&cfg.N, "n", cfg.N, "dataset size")
+	flag.IntVar(&cfg.Grid, "grid", cfg.Grid, "α grid points for the spectrum sweeps")
+	flag.IntVar(&cfg.Terms, "terms", cfg.Terms, "terms in the PRFe combination")
+	flag.IntVar(&cfg.ChainN, "chain", cfg.ChainN, "Markov-chain length (the DP arm is cubic: keep small)")
+	flag.IntVar(&cfg.StoreN, "store-n", cfg.StoreN, "persistent-store trajectory: dataset size for the cold-open arms (0 disables)")
 	flag.Parse()
 
 	if *diff {
@@ -592,15 +291,13 @@ func main() {
 		return
 	}
 
-	const smokeN, smokeGrid, smokeTerms, smokeChain = 400, 4, 6, 32
-
 	if *smoke {
 		if *out == "" {
-			runSuite(smokeN, smokeGrid, smokeTerms, smokeChain, nil)
+			runSuite(benchwork.Smoke, nil)
 			fmt.Println("\nsmoke ok: all workloads ran")
 			return
 		}
-		sec := runSuite(smokeN, smokeGrid, smokeTerms, smokeChain, quickMeasure)
+		sec := runSuite(benchwork.Smoke, quickMeasure)
 		report := newReport(sec)
 		report.Smoke = &sec
 		writeReport(report, *out)
@@ -619,34 +316,33 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	sec := runSuite(*n, *grid, *terms, *chainN, fullMeasure)
-	report := newReport(sec)
-	if *storeN > 0 {
-		fmt.Printf("\npersistent-store trajectory at n=%d…\n", *storeN)
-		ssec := Section{N: *storeN, GOMAXPROCS: runtime.GOMAXPROCS(0),
-			NumCPU: runtime.NumCPU(), Speedups: map[string]float64{}}
-		add := func(name string, op func()) Result {
-			r := fullMeasure(name, op)
-			ssec.Results = append(ssec.Results, r)
-			printResult(r)
-			return r
-		}
-		runStoreArms(*storeN, add, ssec.Speedups, true, fmt.Sprintf("@%d", *storeN))
+	report := newReport(runSuite(cfg, fullMeasure))
+	if cfg.StoreN > 0 {
+		fmt.Printf("\npersistent-store trajectory at n=%d…\n", cfg.StoreN)
+		st := benchwork.NewStore(cfg.StoreN)
+		ssec := measureArms(st, fullMeasure)
+		st.Close()
+		ssec.N = cfg.StoreN
+		// Suffixed, the keys sit beside the suite's own store keys at -n.
+		suffixed := map[string]float64{}
 		for k, v := range ssec.Speedups {
+			k = fmt.Sprintf("%s@%d", k, cfg.StoreN)
+			suffixed[k] = v
 			report.Speedups[k] = v
 		}
+		ssec.Speedups = suffixed
 		report.Store = &ssec
 	}
 	if *loadDur > 0 {
 		fmt.Printf("\nload arm: %d clients for %v…\n", *loadConc, *loadDur)
-		lr := runLoadArm(*loadAddr, *loadConc, *loadDur, *n, *grid)
+		lr := runLoadArm(*loadAddr, *loadConc, *loadDur, cfg.N, cfg.Grid)
 		report.Load = &lr
 		fmt.Printf("%-44s %10.0f qps  p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  %d B/req (%d reqs, %d errors)\n",
 			"load/hot-mix", lr.HotMix.QPS, lr.HotMix.P50MS, lr.HotMix.P95MS, lr.HotMix.P99MS,
 			int64(lr.HotMix.AllocPerReq), lr.HotMix.Requests, lr.HotMix.Errors)
 	}
 	fmt.Println("\nquick-measuring the smoke-size section for the regression gate…")
-	smokeSec := runSuite(smokeN, smokeGrid, smokeTerms, smokeChain, quickMeasure)
+	smokeSec := runSuite(benchwork.Smoke, quickMeasure)
 	report.Smoke = &smokeSec
 	if *baseline != "" {
 		report.Baseline = pairArms(*baseline, old, report)
@@ -665,7 +361,7 @@ func runLoadArm(addr string, conc int, dur time.Duration, n, grid int) LoadRepor
 	base := addr
 	if base == "" {
 		v := core.Prepare(benchwork.Dataset(n))
-		srv := benchwork.StartServeFixture(map[string]*engine.Engine{"bench": benchwork.NewEngine(v)}, 0)
+		srv := benchwork.StartServeFixture(map[string]*engine.Engine{"bench": engine.New(v)}, serve.Options{})
 		defer srv.Close()
 		base = srv.URL
 	} else if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
@@ -695,12 +391,7 @@ func newReport(sec Section) Report {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		N:          sec.N,
-		GridPoints: sec.GridPoints,
-		ComboTerms: sec.ComboTerms,
-		ChainN:     sec.ChainN,
-		Results:    sec.Results,
-		Speedups:   sec.Speedups,
+		Section:    sec,
 	}
 }
 
@@ -733,8 +424,7 @@ func pickSection(r Report) Section {
 	if r.Smoke != nil {
 		return *r.Smoke
 	}
-	return Section{N: r.N, GridPoints: r.GridPoints, ComboTerms: r.ComboTerms,
-		ChainN: r.ChainN, Results: r.Results, Speedups: r.Speedups}
+	return r.Section
 }
 
 func loadReport(path string) (Report, error) {

@@ -1,8 +1,14 @@
-// Package benchwork defines the repeated-query benchmark workloads shared
-// by the root bench suite (bench_test.go) and cmd/bench, so the BENCH_N.json
-// perf trajectory measures exactly what `go test -bench` measures. Each
-// workload function performs one operation ("op" in ns/op terms); callers
-// loop it b.N times.
+// Package benchwork is the one list of the repeated-query benchmark suite.
+// New builds every workload's fixtures at a Config and returns the arms in
+// report order, each a name and a one-operation body ("op" in ns/op
+// terms), together with the ratio table that derives the suite's speedup
+// keys from the arms' timings. NewStore returns the persistent-store arms
+// alone, for the separate store section at a larger size.
+//
+// cmd/bench measures these arms into BENCH_N.json and the root package's
+// BenchmarkSuite runs the same arms under `go test -bench`, so an arm
+// renamed or dropped changes both at once; testdata/suite.golden pins the
+// names and keys so such a change shows up as a reviewed diff.
 package benchwork
 
 //lint:file-allow ctxflow benchmark drivers are context roots: the bench run owns its lifetime and has no caller to receive a deadline from
@@ -17,6 +23,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
+	"time"
 
 	"repro/internal/andxor"
 	"repro/internal/core"
@@ -27,18 +36,425 @@ import (
 	"repro/internal/learn"
 	"repro/internal/pdb"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
-// DatasetSeed fixes the workload dataset so runs are comparable across PRs.
-const DatasetSeed = 31
+// Config sizes one run of the suite.
+type Config struct {
+	N      int // dataset size
+	Grid   int // α grid points of the spectrum sweeps
+	Terms  int // terms in the PRFe combination
+	ChainN int // Markov-chain length (the DP arm is cubic: keep small)
+	// StoreN sizes the separate store section (NewStore) of a full run;
+	// 0 runs none.
+	StoreN int
+}
+
+var (
+	// Full is the measured run recorded in BENCH_N.json.
+	Full = Config{N: 10000, Grid: 16, Terms: 20, ChainN: 200, StoreN: 100000}
+	// Smoke runs every arm at tiny sizes: the CI smoke and the
+	// quick-measured section the regression gate compares.
+	Smoke = Config{N: 400, Grid: 4, Terms: 6, ChainN: 32}
+)
+
+// Arm is one measured workload: Op performs one operation.
+type Arm struct {
+	Name string
+	Op   func()
+}
+
+// Ratio derives the speedup Key as Scale · ns/op(Num) / ns/op(Den).
+type Ratio struct {
+	Key      string
+	Num, Den string
+	Scale    float64
+}
+
+// Suite is an ordered arm list with its ratio table and the fixtures the
+// arms run against; Close releases the fixtures.
+type Suite struct {
+	Arms   []Arm
+	Ratios []Ratio
+	// gauges are speedup keys read from a workload after its last run
+	// rather than derived from two timings.
+	gauges  map[string]func() float64
+	closers []func()
+	// view and grid are what ColdStorm serves.
+	view *core.Prepared
+	grid int
+}
+
+func (s *Suite) arm(name string, op func()) { s.Arms = append(s.Arms, Arm{name, op}) }
+
+func (s *Suite) ratio(key, num, den string) { s.Ratios = append(s.Ratios, Ratio{key, num, den, 1}) }
+
+// Speedups applies the ratio table to measured ns/op by arm name and adds
+// the gauges.
+func (s *Suite) Speedups(nsPerOp map[string]float64) map[string]float64 {
+	out := map[string]float64{}
+	for _, r := range s.Ratios {
+		out[r.Key] = r.Scale * nsPerOp[r.Num] / nsPerOp[r.Den]
+	}
+	for k, g := range s.gauges {
+		out[k] = g()
+	}
+	return out
+}
+
+// Close releases the suite's servers and temporary store.
+func (s *Suite) Close() {
+	for i := len(s.closers) - 1; i >= 0; i-- {
+		s.closers[i]()
+	}
+}
+
+// datasetSeed fixes the workload dataset so runs are comparable across PRs.
+const datasetSeed = 31
 
 // Dataset returns the standard workload dataset: IIP-like, unsorted — what
 // a fresh query workload sees before any preparation.
-func Dataset(n int) *pdb.Dataset { return datagen.IIPLike(n, DatasetSeed) }
+func Dataset(n int) *pdb.Dataset { return datagen.IIPLike(n, datasetSeed) }
 
-// Grid returns the m-point α grid in (0, 1) used by the spectrum sweeps,
+// spectrumN sizes the exact spectrum enumeration: every crossing event of
+// the kinetic sweep is popped, so the dataset stays small at every preset.
+const spectrumN = 300
+
+// New builds the suite at cfg: the independent-data kernels, the
+// correlated backends, the unified engine, the engine cache, the serving
+// layer and the store arms, in report order.
+func New(cfg Config) *Suite {
+	s := &Suite{gauges: map[string]func() float64{}, grid: cfg.Grid}
+	ctx := context.Background()
+	d := Dataset(cfg.N)
+	alphas, calphas := grid(cfg.Grid)
+	terms := comboTerms(cfg.Terms)
+	v := core.Prepare(d)
+	s.view = v
+
+	// Spectrum sweeps (the Figure 11 kernel at every α of a grid): one-shot
+	// rebuilds and re-sorts a view per query, prepared sorts once, parallel
+	// fans the grid out. The ranked variants produce a full ranking per α;
+	// the kinetic sweep sorts once and advances by Theorem 4 crossings.
+	s.arm("spectrum/oneshot", func() {
+		for _, a := range calphas {
+			core.PRFeLog(d, a)
+		}
+	})
+	s.arm("spectrum/prepared", func() {
+		v := core.Prepare(d)
+		for _, a := range calphas {
+			v.PRFeLog(a)
+		}
+	})
+	s.arm("spectrum/parallel", func() { core.Prepare(d).PRFeLogBatch(calphas) })
+	s.arm("ranked-spectrum/oneshot", func() {
+		for _, a := range alphas {
+			core.RankPRFe(d, a)
+		}
+	})
+	s.arm("ranked-spectrum/prepared", func() {
+		v := core.Prepare(d)
+		for _, a := range alphas {
+			v.RankPRFe(a)
+		}
+	})
+	s.arm("ranked-spectrum/parallel", func() {
+		// Descending, which the kinetic sweep does not accept, so the
+		// dispatcher ranks every α independently in parallel.
+		desc := make([]float64, len(alphas))
+		for i, a := range alphas {
+			desc[len(alphas)-1-i] = a
+		}
+		must(core.Prepare(d).QueryRankPRFeBatch(ctx, desc))
+	})
+	s.arm("ranked-spectrum/kinetic", func() { must(core.Prepare(d).RankPRFeSweep(ctx, alphas)) })
+
+	// Theorem 4 crossing points over mixed-span pairs: the bisection
+	// reference against the incremental Newton/secant solver.
+	pairs := crossingPairs(cfg.N, 64)
+	s.arm("crossing/reference", func() {
+		for _, p := range pairs {
+			v.CrossingPointReference(p[0], p[1])
+		}
+	})
+	s.arm("crossing/incremental", func() {
+		for _, p := range pairs {
+			v.CrossingPoint(p[0], p[1])
+		}
+	})
+
+	// The exact spectrum size (every crossing event counted) against the
+	// sampled count on a 64-point grid.
+	sv := core.Prepare(Dataset(spectrumN))
+	s.arm("spectrum-size/exact", func() { sv.SpectrumSize() })
+	s.arm("spectrum-size/grid64", func() { sv.SpectrumSizeGrid(64) })
+
+	// An L-term PRFe combination (the Figure 8 kernel): one scan per term,
+	// fused single pass, parallel by term, and one-shot (prepare per call).
+	s.arm("combo/multipass", func() { core.PRFeComboMultiPass(v, terms) })
+	s.arm("combo/fused", func() { v.PRFeCombo(terms) })
+	s.arm("combo/parallel", func() { v.PRFeComboParallel(terms) })
+	s.arm("combo/oneshot", func() { core.PRFeCombo(d, terms) })
+
+	// Correlated data: and/xor trees (Syn-XOR x-tuples, Syn-HIGH deep
+	// correlation) one-shot against prepared, the Section 9.3 Markov chain
+	// (product tree against the Θ(n³) partial-sum DP, a cold PT(h) on the
+	// truncated DP) and the Section 9.4 junction tree. The one-shot network
+	// arm re-triangulates and re-runs the DP per α, so it runs on a shorter
+	// chain and half the grid.
+	xorTree := must(datagen.SynXOR(cfg.N, datasetSeed))
+	deepTree := must(datagen.SynHIGH(cfg.N, datasetSeed))
+	chain := markovChain(cfg.ChainN)
+	net := must(markovChain(max(cfg.ChainN/2, 2)).Network())
+	netAlphas, netCalphas := grid(max(cfg.Grid/2, 1))
+	s.arm("correlated/andxor-xor-prfe", func() { andxor.PRFeValues(xorTree, complex(0.95, 0)) })
+	s.arm("correlated/andxor-high-prfe", func() { andxor.PRFeValues(deepTree, complex(0.95, 0)) })
+	for _, t := range []struct {
+		name string
+		tree *andxor.Tree
+	}{{"xor", xorTree}, {"high", deepTree}} {
+		s.arm("correlated/andxor-"+t.name+"-sweep-oneshot", func() {
+			for _, a := range calphas {
+				andxor.PRFeValues(t.tree, a)
+			}
+		})
+		s.arm("correlated/prepared/andxor-"+t.name+"-sweep", func() {
+			must(andxor.PrepareTree(t.tree).QueryPRFeBatch(ctx, calphas))
+		})
+	}
+	preparedXorTree := andxor.PrepareTree(xorTree)
+	s.arm("correlated/andxor-xor-combo", func() { treeCombo(andxor.PrepareTree(xorTree), terms) })
+	s.arm("correlated/prepared/andxor-xor-combo", func() { treeCombo(preparedXorTree, terms) })
+	s.arm("correlated/junction-chain-prfe-dp", func() { junction.PRFeChainDP(chain, complex(0.95, 0)) })
+	s.arm("correlated/junction-chain-prfe", func() { junction.PRFeChain(chain, complex(0.95, 0)) })
+	s.arm("correlated/prepared/chain-sweep", func() {
+		must(junction.PrepareChain(chain).QueryPRFeBatch(ctx, calphas))
+	})
+	// The first PT(h) read after a refresh: no cached state to lean on.
+	s.arm("correlated/chain-pth-cold", func() { must(junction.PrepareChain(chain).QueryPTh(ctx, 10)) })
+	s.arm("correlated/junction-network-sweep-oneshot", func() {
+		for _, a := range netCalphas {
+			must(junction.PRFe(net, a))
+		}
+	})
+	s.arm("correlated/prepared/network-sweep", func() {
+		must(must(junction.PrepareNetwork(net)).QueryPRFeBatch(ctx, netCalphas))
+	})
+
+	// The unified engine: one sweep body against all four backends, and the
+	// independent pairs against the direct prepared-view calls, preparation
+	// hoisted on both sides so the pairs measure exactly the dispatch.
+	engIndep := engine.New(v)
+	rankSweep := func(e *engine.Engine, alphas []float64) func() {
+		q := engine.Query{Metric: engine.MetricPRFe, Alphas: alphas, Output: engine.OutputRanking}
+		return func() { must(e.RankBatch(ctx, q)) }
+	}
+	s.arm("engine/direct-rank-sweep", func() { must(v.QueryRankPRFeBatch(ctx, alphas)) })
+	s.arm("engine/rank-sweep", rankSweep(engIndep, alphas))
+	s.arm("engine/direct-topk-sweep", func() { must(v.QueryTopKPRFeBatch(ctx, alphas, 10)) })
+	topKSweep := engine.Query{Metric: engine.MetricPRFe, Alphas: alphas, Output: engine.OutputTopK, K: 10}
+	s.arm("engine/topk-sweep", func() { must(engIndep.RankBatch(ctx, topKSweep)) })
+	engTree := engine.New(preparedXorTree)
+	s.arm("engine/tree-rank-sweep", rankSweep(engTree, alphas))
+	s.arm("engine/chain-rank-sweep", rankSweep(engine.New(junction.PrepareChain(chain)), alphas))
+	s.arm("engine/network-rank-sweep", rankSweep(engine.New(must(junction.PrepareNetwork(net))), netAlphas))
+	treeValues := engine.Query{Metric: engine.MetricPRFe, Alphas: alphas, Output: engine.OutputValues}
+	s.arm("engine/tree-value-sweep", func() { must(engTree.RankBatch(ctx, treeValues)) })
+
+	// The consensus semantics through engine dispatch: one full ranking each.
+	for _, m := range []struct {
+		name string
+		q    engine.Query
+	}{
+		{"globaltopk", engine.Query{Metric: engine.MetricGlobalTopk, K: 10, Output: engine.OutputRanking}},
+		{"expectedrank", engine.Query{Metric: engine.MetricExpectedRank, Output: engine.OutputRanking}},
+		{"medianrank", engine.Query{Metric: engine.MetricMedianRank, Output: engine.OutputRanking}},
+	} {
+		s.arm("semantics/"+m.name+"-ranking", func() { must(engIndep.Rank(ctx, m.q)) })
+	}
+
+	// The engine-level cache on a repeated dashboard: one op is one refresh
+	// (the panel mix plus the ranked sweep). The cached engine is warmed
+	// first, so ops measure steady-state hits.
+	cachedDashboard := dashboard(engine.NewCached(engIndep, 0), 10, cfg.Grid)
+	cachedDashboard() // warm
+	s.arm("engine/dashboard", dashboard(engIndep, 10, cfg.Grid))
+	s.arm("engine/cached/dashboard", cachedDashboard)
+
+	// Independent-view kernels under their earlier-report names: the PT(h)
+	// ladder {10, 20, …, 100} one depth at a time, the log-domain PRFe
+	// kernel, the E-Rank prefix sum, and the Section 5.2 α-learning loop
+	// recovering a PRFe(0.7) "user" ranking.
+	s.arm("sharded/pth-ladder-perh", func() {
+		for h := 10; h <= 100; h += 10 {
+			v.PTh(h)
+		}
+	})
+	s.arm("sharded/prfelog-scalar", func() { v.PRFeLog(complex(0.95, 0)) })
+	s.arm("sharded/erank-scalar", func() { v.ERank() })
+	user := v.RankPRFe(0.7)
+	s.arm("learn/alpha-fit", func() { must(learn.LearnAlphaRanker(ctx, v, user, 10, 3)) })
+
+	// HTTP round trips against the in-process front end in three cache
+	// configurations: none, the engine-level result cache only (a hit still
+	// re-encodes), and the full wire path (a byte-cache hit is one Write),
+	// plus the gzip-negotiated and streamed sweeps.
+	serveFixture := func(opts serve.Options) string {
+		srv := StartServeFixture(map[string]*engine.Engine{"bench": engine.New(v)}, opts)
+		s.closers = append(s.closers, srv.Close)
+		return srv.URL
+	}
+	uncachedURL := serveFixture(serve.Options{CacheCapacity: -1, ByteCacheCapacity: -1})
+	engCacheURL := serveFixture(serve.Options{CacheCapacity: 0, ByteCacheCapacity: -1})
+	cachedURL := serveFixture(serve.Options{})
+	client := &http.Client{}
+	rankBody := ServeRankBody("bench", 0.95, 10)
+	batchBody := ServeBatchBody("bench", cfg.Grid)
+	streamBody := rankBatchBody("bench", alphas, true)
+	for _, url := range []string{engCacheURL, cachedURL} { // warm
+		roundTrip(client, url+"/rank", rankBody, "identity")
+		roundTrip(client, url+"/rankbatch", batchBody, "identity")
+	}
+	roundTrip(client, cachedURL+"/rankbatch", batchBody, "gzip")
+	post := func(url string, body []byte, encoding string) func() {
+		return func() { roundTrip(client, url, body, encoding) }
+	}
+	s.arm("serve/rank-topk", post(uncachedURL+"/rank", rankBody, "identity"))
+	s.arm("serve/cached/rank-topk", post(cachedURL+"/rank", rankBody, "identity"))
+	s.arm("serve/rankbatch-sweep", post(uncachedURL+"/rankbatch", batchBody, "identity"))
+	s.arm("serve/enginecache/rankbatch-sweep", post(engCacheURL+"/rankbatch", batchBody, "identity"))
+	s.arm("serve/cached/rankbatch-sweep", post(cachedURL+"/rankbatch", batchBody, "identity"))
+	s.arm("serve/cached/rankbatch-sweep-gzip", post(cachedURL+"/rankbatch", batchBody, "gzip"))
+	s.arm("serve/rankbatch-stream", post(uncachedURL+"/rankbatch", streamBody, "identity"))
+
+	s.add(NewStore(cfg.N))
+
+	s.ratio("spectrum prepared vs oneshot", "spectrum/oneshot", "spectrum/prepared")
+	s.ratio("spectrum parallel vs oneshot", "spectrum/oneshot", "spectrum/parallel")
+	s.ratio("ranked spectrum prepared vs oneshot", "ranked-spectrum/oneshot", "ranked-spectrum/prepared")
+	s.ratio("ranked spectrum parallel vs oneshot", "ranked-spectrum/oneshot", "ranked-spectrum/parallel")
+	s.ratio("ranked spectrum kinetic vs oneshot", "ranked-spectrum/oneshot", "ranked-spectrum/kinetic")
+	s.ratio("ranked spectrum kinetic vs prepared", "ranked-spectrum/prepared", "ranked-spectrum/kinetic")
+	s.ratio("crossing incremental vs reference", "crossing/reference", "crossing/incremental")
+	s.ratio("combo fused vs multipass", "combo/multipass", "combo/fused")
+	s.ratio("combo fused vs oneshot", "combo/oneshot", "combo/fused")
+	s.ratio("combo parallel vs multipass", "combo/multipass", "combo/parallel")
+	s.ratio("andxor xor sweep prepared vs oneshot", "correlated/andxor-xor-sweep-oneshot", "correlated/prepared/andxor-xor-sweep")
+	s.ratio("andxor high sweep prepared vs oneshot", "correlated/andxor-high-sweep-oneshot", "correlated/prepared/andxor-high-sweep")
+	s.ratio("andxor combo prepared vs oneshot", "correlated/andxor-xor-combo", "correlated/prepared/andxor-xor-combo")
+	s.ratio("chain prfe product-tree vs DP", "correlated/junction-chain-prfe-dp", "correlated/junction-chain-prfe")
+	// The DP arm answers one α; the sweep answers the whole grid.
+	s.Ratios = append(s.Ratios, Ratio{"chain sweep prepared vs per-query DP",
+		"correlated/junction-chain-prfe-dp", "correlated/prepared/chain-sweep", float64(cfg.Grid)})
+	s.ratio("network sweep prepared vs oneshot", "correlated/junction-network-sweep-oneshot", "correlated/prepared/network-sweep")
+	// Overhead keys are engine time over direct time: lower is better.
+	s.ratio("engine rank sweep overhead (engine/direct)", "engine/rank-sweep", "engine/direct-rank-sweep")
+	s.ratio("engine topk sweep overhead (engine/direct)", "engine/topk-sweep", "engine/direct-topk-sweep")
+	s.ratio("engine cached dashboard vs uncached", "engine/dashboard", "engine/cached/dashboard")
+	s.ratio("serve cached rank vs uncached", "serve/rank-topk", "serve/cached/rank-topk")
+	s.ratio("serve cached sweep vs uncached", "serve/rankbatch-sweep", "serve/cached/rankbatch-sweep")
+	s.ratio("serve byte-cache sweep vs engine-cache", "serve/enginecache/rankbatch-sweep", "serve/cached/rankbatch-sweep")
+	s.ratio("serve cached gzip sweep vs uncached", "serve/rankbatch-sweep", "serve/cached/rankbatch-sweep-gzip")
+	return s
+}
+
+// add appends another suite's arms, ratios, gauges and fixtures.
+func (s *Suite) add(o *Suite) {
+	s.Arms = append(s.Arms, o.Arms...)
+	s.Ratios = append(s.Ratios, o.Ratios...)
+	for k, g := range o.gauges {
+		s.gauges[k] = g
+	}
+	s.closers = append(s.closers, o.closers...)
+}
+
+// NewStore builds the persistent-store arms at size n: the CSV
+// parse+prepare baseline (the path every load took before the store), the
+// admin import (the CSV streamed into a durable segment, what every POST
+// /datasets/{name} pays), the segment cold open (checksum-verified section
+// reads + FromSorted, no text parsing, no sort), and the cold certified
+// top-k (only a score-order prefix is read, the tail is bounded away).
+func NewStore(n int) *Suite {
+	s := &Suite{gauges: map[string]func() float64{}}
+	ctx := context.Background()
+	// Scores in three decimals and probabilities in four, like the tables
+	// the serving benchmark imports: the parser's exact-decimal path.
+	var csv []byte
+	for _, t := range Dataset(n).Tuples() {
+		csv = strconv.AppendFloat(csv, t.Score, 'f', 3, 64)
+		csv = append(csv, ',')
+		csv = strconv.AppendFloat(csv, t.Prob, 'f', 4, 64)
+		csv = append(csv, '\n')
+	}
+	dir := must(os.MkdirTemp("", "prfbench-store-"))
+	s.closers = append(s.closers, func() { os.RemoveAll(dir) })
+	st := must(store.Open(dir))
+	must(st.Import("bench", must(store.Parse(store.KindIndependent, bytes.NewReader(csv)))))
+
+	s.arm("store/csv-parse-prepare", func() {
+		must(must(store.Parse(store.KindIndependent, bytes.NewReader(csv))).Engine())
+	})
+	s.arm("store/admin-import", func() {
+		must(st.ImportCSV("bench-import", store.KindIndependent, bytes.NewReader(csv)))
+	})
+	s.arm("store/cold-open", func() {
+		// Materialize owns and closes the handle.
+		must(store.NewLazy(must(st.OpenHandle("bench"))).Materialize(ctx))
+	})
+	var readFraction float64 // file size over bytes read, from the last run
+	s.arm("store/topk-cold-partial", func() {
+		h := must(st.OpenHandle("bench"))
+		lz := store.NewLazy(h)
+		must(lz.QueryTopKPRFeBatch(ctx, []float64{0.95}, 10))
+		if br := lz.BytesRead(); br > 0 {
+			readFraction = float64(h.SizeBytes()) / float64(br)
+		}
+		_ = h.Close() // already closed if the query fell back to a full load
+	})
+	s.ratio("store cold-open vs csv parse+prepare", "store/csv-parse-prepare", "store/cold-open")
+	s.ratio("store cold topk vs cold full open", "store/cold-open", "store/topk-cold-partial")
+	// o(n) evidence for the partial path: how many times over the top-k
+	// query could have re-read the file with the bytes it did not touch.
+	// ~1 when the dataset is too small for partial eligibility (the query
+	// falls back to a full load), large when only a prefix was needed.
+	s.gauges["store cold topk file bytes over bytes read"] = func() float64 { return readFraction }
+	return s
+}
+
+// ColdStorm times rounds × conc identical never-seen /rankbatch requests
+// against two fresh fixtures over the suite's dataset, wire-layer
+// single-flight on and off. The no-latch fixture disables the whole byte
+// layer (cache and latch), not just the latch: a byte cache without a latch
+// still absorbs most of a storm on a small machine by racy fill, which
+// would measure the race, not the layer. Each fixture still evaluates once
+// per round (the latch one through the wire-layer flight, the other through
+// the engine-level cache and flight a dataset gets when its byte cache is
+// off), so the ratio isolates the wire layer: one encode+compress per round
+// against one per caller. It needs a suite built by New.
+func (s *Suite) ColdStorm(conc, rounds int) (latch, noLatch time.Duration) {
+	storm := func(opts serve.Options) time.Duration {
+		srv := StartServeFixture(map[string]*engine.Engine{"bench": engine.New(s.view)}, opts)
+		defer srv.Close()
+		alphas, _ := grid(s.grid)
+		return coldStorm(srv.URL+"/rankbatch", conc, rounds, func(round int) []byte {
+			// Shift the grid far below its spacing but well above float64
+			// rounding, so every round presents a key no cache has seen.
+			shifted := make([]float64, len(alphas))
+			for i, a := range alphas {
+				shifted[i] = a + float64(round+1)*1e-9
+			}
+			return rankBatchBody("bench", shifted, false)
+		})
+	}
+	latch = storm(serve.Options{})
+	noLatch = storm(serve.Options{CacheCapacity: 0, ByteCacheCapacity: -1, DisableSingleFlight: true})
+	return latch, noLatch
+}
+
+// grid returns the m-point α grid in (0, 1) used by the spectrum sweeps,
 // in both real and complex form.
-func Grid(m int) ([]float64, []complex128) {
+func grid(m int) ([]float64, []complex128) {
 	alphas := make([]float64, m)
 	calphas := make([]complex128, m)
 	for i := range alphas {
@@ -48,9 +464,9 @@ func Grid(m int) ([]float64, []complex128) {
 	return alphas, calphas
 }
 
-// Terms returns the L-term DFT approximation of PT(1000) used by the combo
-// workloads.
-func Terms(l int) []core.ExpTerm {
+// comboTerms returns the l-term DFT approximation of PT(1000) used by the
+// combo workloads.
+func comboTerms(l int) []core.ExpTerm {
 	ts := dftapprox.TermsForRankWeights(
 		dftapprox.Approximate(dftapprox.Step(1000), 1000, dftapprox.DefaultOptions(l)))
 	out := make([]core.ExpTerm, len(ts))
@@ -60,70 +476,20 @@ func Terms(l int) []core.ExpTerm {
 	return out
 }
 
-// SpectrumOneShot evaluates PRFeLog at every grid point through the
-// one-shot path (each query rebuilds and re-sorts a fresh view).
-func SpectrumOneShot(d *pdb.Dataset, calphas []complex128) {
-	for _, a := range calphas {
-		core.PRFeLog(d, a)
+// treeCombo evaluates an L-term PRFe combination on a prepared tree.
+func treeCombo(pt *andxor.PreparedTree, terms []core.ExpTerm) {
+	us := make([]complex128, len(terms))
+	alphas := make([]complex128, len(terms))
+	for i, term := range terms {
+		us[i], alphas[i] = term.U, term.Alpha
 	}
+	must(pt.QueryPRFeCombo(context.Background(), us, alphas))
 }
 
-// SpectrumPrepared evaluates the same sweep preparing once.
-func SpectrumPrepared(d *pdb.Dataset, calphas []complex128) {
-	v := core.Prepare(d)
-	for _, a := range calphas {
-		v.PRFeLog(a)
-	}
-}
-
-// SpectrumParallel evaluates the sweep with the parallel batch API.
-func SpectrumParallel(d *pdb.Dataset, calphas []complex128) {
-	core.Prepare(d).PRFeLogBatch(calphas)
-}
-
-// RankedOneShot produces a full PRFe ranking per grid point, one-shot.
-func RankedOneShot(d *pdb.Dataset, alphas []float64) {
-	for _, a := range alphas {
-		core.RankPRFe(d, a)
-	}
-}
-
-// RankedPrepared produces the rankings over one prepared view.
-func RankedPrepared(d *pdb.Dataset, alphas []float64) {
-	v := core.Prepare(d)
-	for _, a := range alphas {
-		v.RankPRFe(a)
-	}
-}
-
-// RankedParallel produces the rankings with the per-α parallel batch path
-// (the non-kinetic arm of the dispatcher). The grid is fed in descending
-// order, which the kinetic sweep does not accept, so every α is ranked
-// independently.
-func RankedParallel(d *pdb.Dataset, alphas []float64) {
-	desc := make([]float64, len(alphas))
-	for i, a := range alphas {
-		desc[len(alphas)-1-i] = a
-	}
-	if _, err := core.Prepare(d).QueryRankPRFeBatch(context.Background(), desc); err != nil {
-		panic(err)
-	}
-}
-
-// RankedKinetic produces the rankings with the kinetic sweep: one sort at
-// the first grid point, then the α axis is walked by adjacent-pair
-// crossings with a certification pass per grid point (the
-// QueryRankPRFeBatch dispatcher's grid arm).
-func RankedKinetic(d *pdb.Dataset, alphas []float64) {
-	if _, err := core.Prepare(d).RankPRFeSweep(context.Background(), alphas); err != nil {
-		panic(err)
-	}
-}
-
-// CrossingPairs returns a deterministic set of sorted-position pairs for
+// crossingPairs returns a deterministic set of sorted-position pairs for
 // the crossing-point workloads, spread across span lengths. Datasets too
 // small to form a pair yield an empty set.
-func CrossingPairs(n, count int) [][2]int {
+func crossingPairs(n, count int) [][2]int {
 	if n < 2 {
 		return nil
 	}
@@ -131,7 +497,7 @@ func CrossingPairs(n, count int) [][2]int {
 	if maxSpan < 1 {
 		maxSpan = 1
 	}
-	rng := rand.New(rand.NewSource(DatasetSeed + 7))
+	rng := rand.New(rand.NewSource(datasetSeed + 7))
 	pairs := make([][2]int, 0, count)
 	for len(pairs) < count {
 		i := rng.Intn(n)
@@ -144,330 +510,41 @@ func CrossingPairs(n, count int) [][2]int {
 	return pairs
 }
 
-// CrossingIncremental exercises the optimized CrossingPoint solver
-// (hoisted α-independent terms, safeguarded Newton over a single
-// incremental pass) on every pair.
-func CrossingIncremental(v *core.Prepared, pairs [][2]int) {
-	for _, p := range pairs {
-		v.CrossingPoint(p[0], p[1])
-	}
+// markovChain builds the standard calibrated n-variable Markov-chain
+// workload.
+func markovChain(n int) *junction.Chain {
+	return datagen.MarkovChainLike(n, datasetSeed+13)
 }
 
-// CrossingReference exercises the pre-optimization bisection reference on
-// every pair.
-func CrossingReference(v *core.Prepared, pairs [][2]int) {
-	for _, p := range pairs {
-		v.CrossingPointReference(p[0], p[1])
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Correlated-data workloads (and/xor trees, junction chains).
-// ---------------------------------------------------------------------------
-
-// XTupleTree returns the Syn-XOR correlated workload: an x-tuple and/xor
-// tree with n leaves.
-func XTupleTree(n int) *andxor.Tree {
-	t, err := datagen.SynXOR(n, DatasetSeed)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// DeepTree returns the Syn-HIGH correlated workload: a deep, highly
-// correlated and/xor tree with n leaves.
-func DeepTree(n int) *andxor.Tree {
-	t, err := datagen.SynHIGH(n, DatasetSeed)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// TreePRFe evaluates PRFe(0.95) on a correlated tree with the incremental
-// Algorithm 3 backend, one-shot: each op pays the leaf sort and the
-// evaluation buffers (one op).
-func TreePRFe(t *andxor.Tree) {
-	andxor.PRFeValues(t, complex(0.95, 0))
-}
-
-// comboTerms splits ExpTerms into the parallel u/α slices the tree combo
-// APIs take.
-func comboTerms(terms []core.ExpTerm) (us, alphas []complex128) {
-	us = make([]complex128, len(terms))
-	alphas = make([]complex128, len(terms))
-	for i, term := range terms {
-		us[i], alphas[i] = term.U, term.Alpha
-	}
-	return us, alphas
-}
-
-// TreeCombo evaluates an L-term PRFe combination on a correlated tree
-// through the one-shot path (prepare per call).
-func TreeCombo(t *andxor.Tree, terms []core.ExpTerm) {
-	TreeComboPrepared(andxor.PrepareTree(t), terms)
-}
-
-// PrepareTree builds the prepared view of a tree — hoisted out of the
-// prepared-combo workload so the op measures evaluation, not preparation,
-// mirroring how combo/fused holds one core.Prepared.
-func PrepareTree(t *andxor.Tree) *andxor.PreparedTree { return andxor.PrepareTree(t) }
-
-// TreeComboPrepared evaluates the combination over an already-prepared tree:
-// the sort and the Algorithm 3 state are amortized across the terms.
-func TreeComboPrepared(pt *andxor.PreparedTree, terms []core.ExpTerm) {
-	us, alphas := comboTerms(terms)
-	if _, err := pt.QueryPRFeCombo(context.Background(), us, alphas); err != nil {
-		panic(err)
-	}
-}
-
-// TreeSweepOneShot evaluates PRFe at every grid point through the per-query
-// path: each α re-prepares the tree (sort + buffers), exactly what a naive
-// α sweep on correlated data costs.
-func TreeSweepOneShot(t *andxor.Tree, calphas []complex128) {
-	for _, a := range calphas {
-		andxor.PRFeValues(t, a)
-	}
-	// (one op = the whole grid)
-}
-
-// TreeSweepPrepared evaluates the same sweep preparing once: the batch API
-// reuses the cached leaf order and pooled evaluation state across the grid.
-func TreeSweepPrepared(t *andxor.Tree, calphas []complex128) {
-	if _, err := andxor.PrepareTree(t).QueryPRFeBatch(context.Background(), calphas); err != nil {
-		panic(err)
-	}
-}
-
-// MarkovChain builds the standard calibrated n-variable Markov-chain
-// workload (datagen.MarkovChainLike at the shared benchmark seed).
-func MarkovChain(n int) *junction.Chain {
-	return datagen.MarkovChainLike(n, DatasetSeed+13)
-}
-
-// ChainPRFe evaluates PRFe(0.95) on a Markov chain (one op). Since the
-// prepared engine this is the product-tree path, O(n log n) per α; the
-// pre-optimization Θ(n³) DP arm is ChainPRFeDP.
-func ChainPRFe(c *junction.Chain) {
-	junction.PRFeChain(c, complex(0.95, 0))
-}
-
-// ChainPRFeDP evaluates the same query with the Section 9.3 partial-sum DP
-// backend — the pre-optimization reference (cubic in n, so chain workloads
-// stay small).
-func ChainPRFeDP(c *junction.Chain) {
-	junction.PRFeChainDP(c, complex(0.95, 0))
-}
-
-// ChainSweepPrepared evaluates PRFe at every grid point over one prepared
-// chain: the conditional tables and score order are cached and the grid
-// fans out over pooled product trees.
-func ChainSweepPrepared(c *junction.Chain, calphas []complex128) {
-	if _, err := junction.PrepareChain(c).QueryPRFeBatch(context.Background(), calphas); err != nil {
-		panic(err)
-	}
-}
-
-// ChainPThCold answers one PT(h) query on a freshly prepared chain — the
-// first read after a dataset refresh, which has no cached state to lean
-// on. PT(h) runs the partial-sum DP truncated to h coefficients.
-func ChainPThCold(c *junction.Chain, h int) {
-	if _, err := junction.PrepareChain(c).QueryPTh(context.Background(), h); err != nil {
-		panic(err)
-	}
-}
-
-// ChainNetwork converts the chain into a general Markov network for the
-// junction-tree workloads.
-func ChainNetwork(c *junction.Chain) *junction.Network {
-	net, err := c.Network()
-	if err != nil {
-		panic(err)
-	}
-	return net
-}
-
-// NetworkSweepOneShot evaluates PRFe at every grid point on a general
-// network through the per-query path: each α re-triangulates, re-calibrates
-// and re-runs the full partial-sum DP.
-func NetworkSweepOneShot(net *junction.Network, calphas []complex128) {
-	for _, a := range calphas {
-		if _, err := junction.PRFe(net, a); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// NetworkSweepPrepared evaluates the same sweep preparing once: one
-// junction-tree build, one DP pass, then a cheap fold per grid point.
-func NetworkSweepPrepared(net *junction.Network, calphas []complex128) {
-	pn, err := junction.PrepareNetwork(net)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := pn.QueryPRFeBatch(context.Background(), calphas); err != nil {
-		panic(err)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Unified-engine workloads: ONE generic body serves all four backends
-// through Engine dispatch, replacing the former per-backend sweep
-// specializations, and is measured against the direct prepared-view calls
-// to certify the dispatch overhead.
-// ---------------------------------------------------------------------------
-
-// NewEngine wraps any prepared backend in the unified engine — hoisted out
-// of the benchmark loops so ops measure dispatch + evaluation, not
-// preparation.
-func NewEngine(r engine.Ranker) *engine.Engine { return engine.New(r) }
-
-// PrepareChain builds the prepared chain view (hoisted like PrepareTree).
-func PrepareChain(c *junction.Chain) *junction.PreparedChain { return junction.PrepareChain(c) }
-
-// PrepareNetwork builds the prepared network view.
-func PrepareNetwork(net *junction.Network) *junction.PreparedNetwork {
-	pn, err := junction.PrepareNetwork(net)
-	if err != nil {
-		panic(err)
-	}
-	return pn
-}
-
-// EngineRankSweep produces full PRFe rankings over an α grid through
-// Engine.RankBatch — the backend-agnostic arm (one op = the whole grid).
-func EngineRankSweep(e *engine.Engine, alphas []float64) {
-	if _, err := e.RankBatch(context.Background(), engine.Query{
-		Metric: engine.MetricPRFe, Alphas: alphas, Output: engine.OutputRanking,
-	}); err != nil {
-		panic(err)
-	}
-}
-
-// EngineTopKSweep answers PRFe top-k over an α grid through
-// Engine.RankBatch.
-func EngineTopKSweep(e *engine.Engine, alphas []float64, k int) {
-	if _, err := e.RankBatch(context.Background(), engine.Query{
-		Metric: engine.MetricPRFe, Alphas: alphas, Output: engine.OutputTopK, K: k,
-	}); err != nil {
-		panic(err)
-	}
-}
-
-// EngineValueSweep evaluates PRFe values over an α grid through
-// Engine.RankBatch.
-func EngineValueSweep(e *engine.Engine, alphas []float64) {
-	if _, err := e.RankBatch(context.Background(), engine.Query{
-		Metric: engine.MetricPRFe, Alphas: alphas, Output: engine.OutputValues,
-	}); err != nil {
-		panic(err)
-	}
-}
-
-// EngineSemanticRanking answers one consensus-semantics ranking query —
-// Global-Topk, Expected-Rank or Median-Rank — through Engine.Rank. One op =
-// one full ranking.
-func EngineSemanticRanking(e *engine.Engine, m engine.Metric, k int) {
-	q := engine.Query{Metric: m, Output: engine.OutputRanking}
-	if m == engine.MetricGlobalTopk {
-		q.K = k
-	}
-	if _, err := e.Rank(context.Background(), q); err != nil {
-		panic(err)
-	}
-}
-
-// DirectRankSweep is the direct prepared-view call EngineRankSweep is
-// measured against (same kernel, no engine dispatch).
-func DirectRankSweep(v *core.Prepared, alphas []float64) {
-	if _, err := v.QueryRankPRFeBatch(context.Background(), alphas); err != nil {
-		panic(err)
-	}
-}
-
-// DirectTopKSweep is the direct arm of EngineTopKSweep.
-func DirectTopKSweep(v *core.Prepared, alphas []float64, k int) {
-	if _, err := v.QueryTopKPRFeBatch(context.Background(), alphas, k); err != nil {
-		panic(err)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Serving-layer workloads (PR 5): the repeated-dashboard query mix behind
-// the engine-level result cache, and HTTP round trips through internal/serve.
-// ---------------------------------------------------------------------------
-
-// DashboardQueries returns the repeated-dashboard workload: the single-shot
-// query mix a monitoring dashboard re-issues on every refresh — PRFe top-k
-// boards at several α, a full ranking, a PT(h) board and an expected-rank
-// board.
-func DashboardQueries(k int) []engine.Query {
-	return []engine.Query{
+// dashboard returns one refresh of a monitoring dashboard against e: PRFe
+// top-k boards at two α, a full ranking, a PT(h) board and an
+// expected-rank board, then the ranked spectrum panel over a monotone
+// gridPoints-point α grid.
+func dashboard(e interface {
+	Rank(context.Context, engine.Query) (*engine.Result, error)
+	RankBatch(context.Context, engine.Query) ([]engine.Result, error)
+}, k, gridPoints int) func() {
+	qs := []engine.Query{
 		{Metric: engine.MetricPRFe, Alpha: 0.95, Output: engine.OutputTopK, K: k},
 		{Metric: engine.MetricPRFe, Alpha: 0.5, Output: engine.OutputTopK, K: k},
 		{Metric: engine.MetricPRFe, Alpha: 0.99, Output: engine.OutputRanking},
 		{Metric: engine.MetricPTh, H: k, Output: engine.OutputRanking},
 		{Metric: engine.MetricERank, Output: engine.OutputTopK, K: k},
 	}
-}
-
-// DashboardSweep returns the dashboard's spectrum panel: a ranked PRFe
-// batch over a monotone α grid.
-func DashboardSweep(gridPoints int) engine.Query {
-	alphas, _ := Grid(gridPoints)
-	return engine.Query{Metric: engine.MetricPRFe, Alphas: alphas, Output: engine.OutputRanking}
-}
-
-// EngineDashboard renders one dashboard refresh through the uncached
-// engine: every panel re-evaluates (one op = all panels + the sweep).
-func EngineDashboard(e *engine.Engine, qs []engine.Query, sweep engine.Query) {
-	ctx := context.Background()
-	for _, q := range qs {
-		if _, err := e.Rank(ctx, q); err != nil {
-			panic(err)
+	alphas, _ := grid(gridPoints)
+	sweep := engine.Query{Metric: engine.MetricPRFe, Alphas: alphas, Output: engine.OutputRanking}
+	return func() {
+		ctx := context.Background()
+		for _, q := range qs {
+			must(e.Rank(ctx, q))
 		}
+		must(e.RankBatch(ctx, sweep))
 	}
-	if _, err := e.RankBatch(ctx, sweep); err != nil {
-		panic(err)
-	}
-}
-
-// CachedDashboard renders the same refresh through the cache-wrapped
-// engine: after the first refresh every panel answers from the canonical
-// (Query → Result) cache.
-func CachedDashboard(ce *engine.CachedEngine, qs []engine.Query, sweep engine.Query) {
-	ctx := context.Background()
-	for _, q := range qs {
-		if _, err := ce.Rank(ctx, q); err != nil {
-			panic(err)
-		}
-	}
-	if _, err := ce.RankBatch(ctx, sweep); err != nil {
-		panic(err)
-	}
-}
-
-// NewCachedEngine wraps an engine in the engine-level result cache —
-// hoisted like NewEngine so ops measure lookups, not construction.
-func NewCachedEngine(e *engine.Engine, capacity int) *engine.CachedEngine {
-	return engine.NewCached(e, capacity)
 }
 
 // StartServeFixture starts an in-process HTTP server over the given
-// engines with the default wire path (byte cache + single-flight on).
-// cacheCapacity is passed as serve.Options.CacheCapacity, which the server
-// uses only for datasets without a byte cache — so here it has no effect
-// on what is cached. Callers must Close the returned server.
-func StartServeFixture(engines map[string]*engine.Engine, cacheCapacity int) *httptest.Server {
-	return StartServeFixtureOpts(engines, serve.Options{CacheCapacity: cacheCapacity})
-}
-
-// StartServeFixtureOpts is StartServeFixture with full control of the serve
-// options — the bench arms use it to isolate the byte cache and the
-// single-flight latch.
-func StartServeFixtureOpts(engines map[string]*engine.Engine, opts serve.Options) *httptest.Server {
+// engines. Callers must Close it.
+func StartServeFixture(engines map[string]*engine.Engine, opts serve.Options) *httptest.Server {
 	s := serve.New(opts)
 	for name, e := range engines {
 		if err := s.AddDataset(name, e); err != nil {
@@ -484,59 +561,45 @@ func ServeRankBody(dataset string, alpha float64, k int) []byte {
 	}})
 }
 
-// ServeBatchBody marshals the /rankbatch request for a ranked α sweep.
+// ServeBatchBody marshals the /rankbatch request for a ranked sweep over
+// the gridPoints-point α grid.
 func ServeBatchBody(dataset string, gridPoints int) []byte {
-	alphas, _ := Grid(gridPoints)
-	return mustJSON(serve.RankRequest{Dataset: dataset, Query: serve.WireQuery{
-		Metric: "prfe", Alphas: alphas, Output: "ranking",
-	}})
+	alphas, _ := grid(gridPoints)
+	return rankBatchBody(dataset, alphas, false)
 }
 
-// ServeBatchStreamBody marshals the streamed variant of the ranked α-sweep
-// request ("stream": true — chunked per-grid-point emission).
-func ServeBatchStreamBody(dataset string, gridPoints int) []byte {
-	alphas, _ := Grid(gridPoints)
+// rankBatchBody marshals a ranked PRFe /rankbatch request over alphas,
+// streamed (chunked per grid point) when stream is set.
+func rankBatchBody(dataset string, alphas []float64, stream bool) []byte {
 	return mustJSON(serve.RankRequest{Dataset: dataset, Query: serve.WireQuery{
 		Metric: "prfe", Alphas: alphas, Output: "ranking",
-	}, Stream: true})
+	}, Stream: stream})
 }
 
-// ServeBatchStormBody marshals a ranked-sweep request whose α grid is
-// unique per round, so every cold-storm round presents a key neither cache
-// has seen: the grid is shifted by a round-scaled offset far below any real
-// grid spacing but well above float64 rounding at these magnitudes.
-func ServeBatchStormBody(dataset string, gridPoints, round int) []byte {
-	alphas, _ := Grid(gridPoints)
-	for i := range alphas {
-		alphas[i] += float64(round+1) * 1e-9
-	}
-	return mustJSON(serve.RankRequest{Dataset: dataset, Query: serve.WireQuery{
-		Metric: "prfe", Alphas: alphas, Output: "ranking",
-	}})
-}
+func mustJSON(v any) []byte { return must(json.Marshal(v)) }
 
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
+// must panics on a fixture or workload error: a benchmark must not
+// silently measure an error path.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return b
+	return v
 }
 
-// ServeRoundTrip posts one request body and drains the response — one op of
-// the serve/* workloads. Non-200 answers panic (a benchmark must not
-// silently measure error paths).
-func ServeRoundTrip(c *http.Client, url string, body []byte) {
-	// Pin the identity encoding: without this net/http silently negotiates
-	// gzip and inflates the body behind io.Copy, so every "plain" arm would
-	// actually measure compress+inflate (and lose comparability with the
-	// BENCH_5 serve arms). The gzip wire is measured by ServeRoundTripGzip.
+// roundTrip posts one request body with the given Accept-Encoding and
+// drains the response; a non-200 answer panics. The explicit encoding
+// matters both ways: without "identity" net/http silently negotiates gzip
+// and inflates behind the drain, so a plain arm would measure
+// compress+inflate; with "gzip" its transparent inflate is off, so the
+// drain reads the compressed bytes actually crossing the wire.
+func roundTrip(c *http.Client, url string, body []byte, encoding string) {
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		panic(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept-Encoding", "identity")
+	req.Header.Set("Accept-Encoding", encoding)
 	resp, err := c.Do(req)
 	if err != nil {
 		panic(err)
@@ -547,97 +610,6 @@ func ServeRoundTrip(c *http.Client, url string, body []byte) {
 		panic(fmt.Sprintf("serve round trip: status %d: %s", resp.StatusCode, data))
 	}
 	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		panic(err)
-	}
-}
-
-// ServeRoundTripGzip is ServeRoundTrip with gzip negotiated: the explicit
-// Accept-Encoding header disables net/http's transparent decompression, so
-// the op measures the compressed bytes actually crossing the wire.
-func ServeRoundTripGzip(c *http.Client, url string, body []byte) {
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		panic(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := c.Do(req)
-	if err != nil {
-		panic(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		panic(fmt.Sprintf("serve gzip round trip: status %d: %s", resp.StatusCode, data))
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		panic(err)
-	}
-}
-
-// ComboMultiPass evaluates the PRFe combination with the pre-fusion
-// one-scan-per-term reference kernel.
-func ComboMultiPass(v *core.Prepared, terms []core.ExpTerm) {
-	core.PRFeComboMultiPass(v, terms)
-}
-
-// ComboFused evaluates the combination with the fused single-pass kernel.
-func ComboFused(v *core.Prepared, terms []core.ExpTerm) {
-	v.PRFeCombo(terms)
-}
-
-// ComboParallel evaluates the combination with the parallel-by-term kernel.
-func ComboParallel(v *core.Prepared, terms []core.ExpTerm) {
-	v.PRFeComboParallel(terms)
-}
-
-// ComboOneShot evaluates the combination through the one-shot path
-// (prepare per call).
-func ComboOneShot(d *pdb.Dataset, terms []core.ExpTerm) {
-	core.PRFeCombo(d, terms)
-}
-
-// Ladder returns the PT(h) rung set {step, 2·step, …, count·step} used by
-// the ladder workload — the Figure 9 style depth sweep.
-func Ladder(count, step int) []int {
-	hs := make([]int, count)
-	for i := range hs {
-		hs[i] = (i + 1) * step
-	}
-	return hs
-}
-
-// LadderPerH answers every rung with the per-h PT(h) kernel: one full
-// generating-function pass per h (one op = the whole ladder).
-func LadderPerH(v *core.Prepared, hs []int) {
-	for _, h := range hs {
-		v.PTh(h)
-	}
-}
-
-// PRFeLogScalar evaluates the log-domain PRFe kernel (two logs + a complex
-// magnitude per element).
-func PRFeLogScalar(v *core.Prepared, alpha complex128) {
-	v.PRFeLog(alpha)
-}
-
-// ERankScalar evaluates expected rank with the sequential prefix-sum kernel.
-func ERankScalar(v *core.Prepared) {
-	v.ERank()
-}
-
-// LearnUserRanking fabricates the deterministic "user" preference ranking
-// for the learning workload: the PRFe(0.7) order of the sample, which the
-// α search must recover.
-func LearnUserRanking(v *core.Prepared) pdb.Ranking {
-	return v.RankPRFe(0.7)
-}
-
-// LearnAlphaWorkload fits PRFe's α to the user ranking by the Section 5.2
-// recursive grid refinement over the engine's Ranker interface — the
-// learning workload arm (one op = the full multi-round search).
-func LearnAlphaWorkload(v *core.Prepared, user pdb.Ranking, k, iters int) {
-	if _, err := learn.LearnAlphaRanker(context.Background(), v, user, k, iters); err != nil {
 		panic(err)
 	}
 }

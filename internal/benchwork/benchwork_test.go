@@ -6,7 +6,7 @@ import "testing"
 // they must stay total for small n rather than panicking mid-benchmark.
 func TestCrossingPairsSmallN(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 5, 100} {
-		pairs := CrossingPairs(n, 8)
+		pairs := crossingPairs(n, 8)
 		if n < 2 && pairs != nil {
 			t.Fatalf("n=%d: expected no pairs, got %v", n, pairs)
 		}
@@ -19,7 +19,7 @@ func TestCrossingPairsSmallN(t *testing.T) {
 }
 
 func TestMarkovChainCalibrated(t *testing.T) {
-	c := MarkovChain(50)
+	c := markovChain(50)
 	if c.Len() != 50 {
 		t.Fatalf("chain length %d", c.Len())
 	}

@@ -5,8 +5,8 @@ package benchwork
 // The load-generator arm of cmd/bench: a vegeta-style closed-loop driver
 // that measures the serving layer the way a service is measured — QPS and
 // latency percentiles under concurrency against a live HTTP server (the
-// in-process fixture or an external -load-addr) — plus a cold-storm driver
-// for the single-flight latch. ns/op benchmarks time one request at a time;
+// in-process fixture or an external -load-addr) — plus the cold-storm driver
+// behind Suite.ColdStorm. ns/op benchmarks time one request at a time;
 // these report what N concurrent dashboards actually see.
 
 import (
@@ -149,7 +149,7 @@ func postDrain(c *http.Client, url string, body []byte) error {
 	return nil
 }
 
-// ColdStorm fires rounds storms of conc simultaneous identical requests,
+// coldStorm fires rounds storms of conc simultaneous identical requests,
 // each round against a key the server has never seen (bodyFor must return a
 // fresh body per round), and returns the total wall time. Storm clients
 // negotiate gzip explicitly (and drain the compressed bytes as they arrive,
@@ -157,7 +157,7 @@ func postDrain(c *http.Client, url string, body []byte) error {
 // single-flight latch one evaluate+encode+compress per round serves all
 // conc callers; without it every caller pays the encode and compression —
 // the ratio of the two wall times is the latch's speedup.
-func ColdStorm(url string, conc, rounds int, bodyFor func(round int) []byte) time.Duration {
+func coldStorm(url string, conc, rounds int, bodyFor func(round int) []byte) time.Duration {
 	client := loadClient(conc)
 	defer client.CloseIdleConnections()
 	start := time.Now()
