@@ -162,43 +162,74 @@ type LoadReport struct {
 	HotMix      benchwork.LoadResult `json:"hot_mix"`
 }
 
-// measureFunc turns one workload body into a measurement; nil means smoke
-// mode (run once, no timing).
-type measureFunc func(name string, op func()) Result
+// measureFunc measures the arms of one suite, returning one result per arm
+// in arm order; nil means smoke mode (run once, no timing).
+type measureFunc func(arms []benchwork.Arm) []Result
 
-// fullMeasure is the stdlib benchmark harness (≈1 s per workload).
-func fullMeasure(name string, op func()) Result {
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			op()
+// fullMeasure runs every arm under the stdlib benchmark harness (≈1 s per
+// arm), printing each result as it lands.
+func fullMeasure(arms []benchwork.Arm) []Result {
+	out := make([]Result, len(arms))
+	for i, a := range arms {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.Op()
+			}
+		})
+		out[i] = Result{
+			Name:     a.Name,
+			Iters:    r.N,
+			NsPerOp:  float64(r.T.Nanoseconds()) / float64(r.N),
+			MsPerOp:  float64(r.T.Nanoseconds()) / float64(r.N) / 1e6,
+			AllocsOp: r.AllocsPerOp(),
+			BytesOp:  r.AllocedBytesPerOp(),
 		}
-	})
-	return Result{
-		Name:     name,
-		Iters:    r.N,
-		NsPerOp:  float64(r.T.Nanoseconds()) / float64(r.N),
-		MsPerOp:  float64(r.T.Nanoseconds()) / float64(r.N) / 1e6,
-		AllocsOp: r.AllocsPerOp(),
-		BytesOp:  r.AllocedBytesPerOp(),
+		printResult(out[i])
 	}
+	return out
 }
 
 // quickMeasure is the short harness behind the smoke report: one warm-up
-// run, then timed iterations until ~150 ms have elapsed. Coarser than
-// fullMeasure but cheap enough to run the whole suite per CI job; the
-// regression gate's tolerances account for the extra noise.
-func quickMeasure(name string, op func()) Result {
-	op() // warm-up, excluded
-	const budget = 150 * time.Millisecond
-	var iters int
-	start := time.Now()
-	for time.Since(start) < budget {
-		op()
-		iters++
+// run per arm, then quickSamples rounds that each time every arm in turn
+// for its share of a ~150 ms per-arm budget. An arm reports its median
+// sample's ns/op; Iters is the total over its samples. Interleaving the
+// rounds spreads every arm's samples over the whole run, so host load that
+// drifts meanwhile lands on both arms of a speedup key instead of on
+// whichever one ran at the wrong moment, and the median drops a sample
+// caught by a GC cycle or a scheduler hiccup. Coarser than fullMeasure but
+// cheap enough to run the whole suite per CI job; the regression gate's
+// tolerances account for the extra noise.
+func quickMeasure(arms []benchwork.Arm) []Result {
+	const (
+		budget       = 150 * time.Millisecond
+		quickSamples = 5
+	)
+	for _, a := range arms {
+		a.Op() // warm-up, excluded
 	}
-	ns := float64(time.Since(start).Nanoseconds()) / float64(iters)
-	return Result{Name: name, Iters: iters, NsPerOp: ns, MsPerOp: ns / 1e6}
+	samples := make([][]float64, len(arms))
+	iters := make([]int, len(arms))
+	for range quickSamples {
+		for i, a := range arms {
+			var n int
+			start := time.Now()
+			for n == 0 || time.Since(start) < budget/quickSamples {
+				a.Op()
+				n++
+			}
+			samples[i] = append(samples[i], float64(time.Since(start).Nanoseconds())/float64(n))
+			iters[i] += n
+		}
+	}
+	out := make([]Result, len(arms))
+	for i, a := range arms {
+		sort.Float64s(samples[i])
+		ns := samples[i][quickSamples/2]
+		out[i] = Result{Name: a.Name, Iters: iters[i], NsPerOp: ns, MsPerOp: ns / 1e6}
+		printResult(out[i])
+	}
+	return out
 }
 
 // printResult prints one measured arm.
@@ -241,21 +272,19 @@ func runSuite(cfg benchwork.Config, meas measureFunc) Section {
 // in order and derives its speedup keys from the measured timings.
 func measureArms(s *benchwork.Suite, meas measureFunc) Section {
 	sec := Section{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Speedups: map[string]float64{}}
-	nsPerOp := map[string]float64{}
-	for _, a := range s.Arms {
-		if meas == nil {
+	if meas == nil {
+		for _, a := range s.Arms {
 			a.Op()
 			fmt.Printf("%-44s ok\n", a.Name)
-			continue
 		}
-		r := meas(a.Name, a.Op)
-		sec.Results = append(sec.Results, r)
-		nsPerOp[a.Name] = r.NsPerOp
-		printResult(r)
+		return sec
 	}
-	if meas != nil {
-		sec.Speedups = s.Speedups(nsPerOp)
+	sec.Results = meas(s.Arms)
+	nsPerOp := map[string]float64{}
+	for _, r := range sec.Results {
+		nsPerOp[r.Name] = r.NsPerOp
 	}
+	sec.Speedups = s.Speedups(nsPerOp)
 	return sec
 }
 

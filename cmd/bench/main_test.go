@@ -8,7 +8,11 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/benchwork"
 )
 
 // Every checked-in report must stay readable by -diff and -baseline, and
@@ -80,4 +84,40 @@ func topLevelKeys(t *testing.T, data []byte) []string {
 		}
 	}
 	return keys
+}
+
+// TestQuickMeasureInterleavedMedian: quickMeasure times the arms in
+// interleaved rounds (a, b, a, b, …) after one warm-up each; an op longer
+// than one sample's share of the budget runs once per sample, so Iters
+// counts the samples, and one slow sample does not move its arm's median.
+func TestQuickMeasureInterleavedMedian(t *testing.T) {
+	var order []string
+	calls := map[string]int{}
+	arm := func(name string, d time.Duration) benchwork.Arm {
+		return benchwork.Arm{Name: name, Op: func() {
+			order = append(order, name)
+			calls[name]++
+			if name == "a" && calls[name] == 3 { // a's second timed sample
+				time.Sleep(100 * time.Millisecond)
+				return
+			}
+			time.Sleep(d)
+		}}
+	}
+	rs := quickMeasure([]benchwork.Arm{arm("a", 31*time.Millisecond), arm("b", 40*time.Millisecond)})
+	if want := "abababababab"; strings.Join(order, "") != want {
+		t.Fatalf("call order %q, want warm-ups then interleaved rounds %q", strings.Join(order, ""), want)
+	}
+	for i, want := range []struct {
+		name   string
+		lo, hi float64
+	}{{"a", 31, 100}, {"b", 40, 100}} {
+		r := rs[i]
+		if r.Name != want.name || r.Iters != 5 {
+			t.Fatalf("result %d = %s over %d iters, want %s over 5 timed samples", i, r.Name, r.Iters, want.name)
+		}
+		if r.MsPerOp < want.lo || r.MsPerOp >= want.hi {
+			t.Fatalf("%s: ms/op = %.1f, want its median sample (≥ %.0f ms), not the 100 ms outlier", r.Name, r.MsPerOp, want.lo)
+		}
+	}
 }

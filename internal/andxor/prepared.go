@@ -1,11 +1,8 @@
 package andxor
 
 import (
-	"context"
-	"math/cmplx"
 	"sync"
 
-	"repro/internal/par"
 	"repro/internal/pdb"
 )
 
@@ -19,11 +16,12 @@ import (
 // α-spectrum sweeps and multi-term combinations on trees cheap.
 //
 // A PreparedTree is safe for concurrent use: the cached order is read-only
-// and every query checks a private evaluation state out of an internal pool,
-// so the batch queries (QueryPRFeBatch, QueryRankPRFeBatch,
-// QueryTopKPRFeBatch, QueryPRFeCombo) can fan α values across GOMAXPROCS
-// goroutines over the shared view.
+// and every query checks a private evaluation state out of an internal pool.
+// The PRFe methods come from the embedded pdb.PRFeFront over prfeInto, which
+// fans batch α values across GOMAXPROCS goroutines over the shared view.
 type PreparedTree struct {
+	pdb.PRFeFront[*PreparedTree, *prfeEval]
+
 	t     *Tree
 	order []pdb.TupleID // leaves by non-increasing score, ties by ID
 	c     float64       // Σ leaf marginals (the E-Rank constant)
@@ -38,6 +36,7 @@ func PrepareTree(t *Tree) *PreparedTree {
 	for id := 0; id < t.Len(); id++ {
 		pt.c += t.leaves[id].marginal
 	}
+	pt.PRFeFront = pdb.NewPRFeFront(pt, t.Len(), (*PreparedTree).getEval, (*PreparedTree).prfeInto, (*PreparedTree).putEval)
 	return pt
 }
 
@@ -61,9 +60,10 @@ func (pt *PreparedTree) getEval() *prfeEval {
 func (pt *PreparedTree) putEval(e *prfeEval) { pt.pool.Put(e) }
 
 // prfeInto runs one incremental Algorithm 3 pass at the given α over the
-// cached leaf order, writing Υ_α per TupleID into out (length n). The
-// arithmetic is identical, operation for operation, to a fresh PRFeValues
-// evaluation, so results are bit-for-bit equal to the one-shot path.
+// cached leaf order, writing Υ_α per TupleID into out (length n) — the
+// front's fill hook, on a state fresh from getEval. The arithmetic is
+// identical, operation for operation, to a fresh PRFeValues evaluation, so
+// results are bit-for-bit equal to the one-shot path.
 func (pt *PreparedTree) prfeInto(e *prfeEval, alpha complex128, out []complex128) {
 	t := pt.t
 	rootIdx := t.root.idx
@@ -76,97 +76,6 @@ func (pt *PreparedTree) prfeInto(e *prfeEval, alpha complex128, out []complex128
 		e.setLeaf(t.leaves[id], alpha, 0)
 		out[id] = e.vAA[rootIdx] - e.vA0[rootIdx]
 	}
-}
-
-// PRFe computes Υ_α for every leaf with the incremental Algorithm 3 over the
-// prepared order. α may be complex; for ranking with real α use RankPRFe or
-// take AbsParts. Results are identical to PRFeValues.
-func (pt *PreparedTree) PRFe(alpha complex128) []complex128 {
-	out := make([]complex128, pt.Len())
-	if pt.Len() == 0 {
-		return out
-	}
-	e := pt.getEval()
-	pt.prfeInto(e, alpha, out)
-	pt.putEval(e)
-	return out
-}
-
-// prfeBatchCtx evaluates PRFe for every α of a batch, fanning the grid
-// across GOMAXPROCS goroutines; each worker drains its share of the grid
-// with one pooled evaluation state, and cancellation is honored between
-// grid points. out[a] equals PRFe(alphas[a]) bit-for-bit. It is the body of
-// QueryPRFeBatch and QueryPRFeCombo.
-func (pt *PreparedTree) prfeBatchCtx(ctx context.Context, alphas []complex128) ([][]complex128, error) {
-	out := make([][]complex128, len(alphas))
-	if pt.Len() == 0 {
-		for a := range out {
-			out[a] = make([]complex128, 0)
-		}
-		return out, nil
-	}
-	workers := par.Workers(len(alphas))
-	evals := make([]*prfeEval, workers)
-	err := par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
-		if evals[w] == nil {
-			evals[w] = pt.getEval()
-		} else {
-			evals[w].reset()
-		}
-		out[a] = make([]complex128, pt.Len())
-		pt.prfeInto(evals[w], alphas[a], out[a])
-	})
-	for _, e := range evals {
-		if e != nil {
-			pt.putEval(e)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RankPRFe returns the PRFe(α) ranking of the tree's leaves for real α,
-// ranking by |Υ| as the paper's top-k definition prescribes.
-func (pt *PreparedTree) RankPRFe(alpha float64) pdb.Ranking {
-	return pdb.RankByAbs(pt.PRFe(complex(alpha, 0)))
-}
-
-// rankBatch runs the parallel per-α ranking loop behind QueryRankPRFeBatch
-// and QueryTopKPRFeBatch, reusing one evaluation state and one value buffer
-// per worker across the whole grid. Cancellation is honored between grid
-// points.
-func (pt *PreparedTree) rankBatch(ctx context.Context, alphas []float64, emit func(a int, r pdb.Ranking)) error {
-	n := pt.Len()
-	workers := par.Workers(len(alphas))
-	evals := make([]*prfeEval, workers)
-	vals := make([][]complex128, workers)
-	abs := make([][]float64, workers)
-	err := par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
-		if n == 0 {
-			emit(a, pdb.Ranking{})
-			return
-		}
-		if evals[w] == nil {
-			evals[w] = pt.getEval()
-			vals[w] = make([]complex128, n)
-			abs[w] = make([]float64, n)
-		} else {
-			evals[w].reset()
-		}
-		pt.prfeInto(evals[w], complex(alphas[a], 0), vals[w])
-		for i, v := range vals[w] {
-			abs[w][i] = cmplx.Abs(v)
-		}
-		emit(a, pdb.RankByValue(abs[w]))
-	})
-	for _, e := range evals {
-		if e != nil {
-			pt.putEval(e)
-		}
-	}
-	return err
 }
 
 // ERank returns E[r(t)] for every leaf (the Cormode et al. convention:

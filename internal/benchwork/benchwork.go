@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/andxor"
 	"repro/internal/core"
+	"repro/internal/coreref"
 	"repro/internal/datagen"
 	"repro/internal/dftapprox"
 	"repro/internal/engine"
@@ -175,7 +176,7 @@ func New(cfg Config) *Suite {
 	pairs := crossingPairs(cfg.N, 64)
 	s.arm("crossing/reference", func() {
 		for _, p := range pairs {
-			v.CrossingPointReference(p[0], p[1])
+			coreref.CrossingPoint(v, p[0], p[1])
 		}
 	})
 	s.arm("crossing/incremental", func() {
@@ -191,10 +192,9 @@ func New(cfg Config) *Suite {
 	s.arm("spectrum-size/grid64", func() { sv.SpectrumSizeGrid(64) })
 
 	// An L-term PRFe combination (the Figure 8 kernel): one scan per term,
-	// fused single pass, parallel by term, and one-shot (prepare per call).
-	s.arm("combo/multipass", func() { core.PRFeComboMultiPass(v, terms) })
+	// fused single pass, and one-shot (prepare per call).
+	s.arm("combo/multipass", func() { coreref.PRFeComboMultiPass(v, terms) })
 	s.arm("combo/fused", func() { v.PRFeCombo(terms) })
-	s.arm("combo/parallel", func() { v.PRFeComboParallel(terms) })
 	s.arm("combo/oneshot", func() { core.PRFeCombo(d, terms) })
 
 	// Correlated data: and/xor trees (Syn-XOR x-tuples, Syn-HIGH deep
@@ -339,7 +339,6 @@ func New(cfg Config) *Suite {
 	s.ratio("crossing incremental vs reference", "crossing/reference", "crossing/incremental")
 	s.ratio("combo fused vs multipass", "combo/multipass", "combo/fused")
 	s.ratio("combo fused vs oneshot", "combo/oneshot", "combo/fused")
-	s.ratio("combo parallel vs multipass", "combo/multipass", "combo/parallel")
 	s.ratio("andxor xor sweep prepared vs oneshot", "correlated/andxor-xor-sweep-oneshot", "correlated/prepared/andxor-xor-sweep")
 	s.ratio("andxor high sweep prepared vs oneshot", "correlated/andxor-high-sweep-oneshot", "correlated/prepared/andxor-high-sweep")
 	s.ratio("andxor combo prepared vs oneshot", "correlated/andxor-xor-combo", "correlated/prepared/andxor-xor-combo")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/cmplx"
-	"runtime"
 	"slices"
 
 	"repro/internal/exact"
@@ -22,9 +21,9 @@ import (
 // the paper's Section 4.3 analysis promises.
 //
 // A Prepared view is safe for concurrent use: all methods are read-only, and
-// the parallel batch methods (PRFeLogBatch, PRFeCurve, PRFeComboParallel,
-// QueryRankPRFeBatch, QueryTopKPRFeBatch) fan work out across GOMAXPROCS
-// goroutines over the shared view.
+// the parallel batch methods (PRFeLogBatch, PRFeCurve, QueryRankPRFeBatch,
+// QueryTopKPRFeBatch) fan work out across GOMAXPROCS goroutines over the
+// shared view.
 type Prepared struct {
 	ids    []pdb.TupleID // sorted position -> original tuple ID
 	scores []float64     // non-increasing
@@ -385,7 +384,7 @@ func (v *Prepared) PRFl() []float64 {
 // the data, so the tuple arrays are read once instead of L times. O(n·L)
 // arithmetic, O(n) memory traffic. Values are identical (bit-for-bit) to
 // evaluating the terms in separate scans and summing per tuple in term
-// order. See PRFeComboParallel for the parallel-by-term variant at large L.
+// order (coreref.PRFeComboMultiPass is that per-term reference).
 func (v *Prepared) PRFeCombo(terms []ExpTerm) []complex128 {
 	n := v.Len()
 	out := make([]complex128, n)
@@ -413,52 +412,6 @@ func (v *Prepared) PRFeCombo(terms []ExpTerm) []complex128 {
 	return out
 }
 
-// PRFeComboParallel evaluates the same linear combination as PRFeCombo but
-// splits the terms across GOMAXPROCS workers, each running the fused
-// single-pass kernel on its own chunk, and sums the partial results in chunk
-// order. Worthwhile for large L; for small L it falls back to the serial
-// fused pass. Results agree with PRFeCombo up to floating-point summation
-// order (≤ 1e-12 in practice).
-func (v *Prepared) PRFeComboParallel(terms []ExpTerm) []complex128 {
-	l := len(terms)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > l {
-		workers = l
-	}
-	// Below a few terms per worker the fan-out overhead dominates.
-	if workers < 2 || l < 8 {
-		return v.PRFeCombo(terms)
-	}
-	chunks := make([][]ExpTerm, workers)
-	per := (l + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > l {
-			hi = l
-		}
-		if lo < hi {
-			chunks[w] = terms[lo:hi]
-		}
-	}
-	partial := make([][]complex128, workers)
-	parallelFor(workers, func(w int) {
-		if len(chunks[w]) > 0 {
-			partial[w] = v.PRFeCombo(chunks[w])
-		}
-	})
-	out := partial[0]
-	for w := 1; w < workers; w++ {
-		if partial[w] == nil {
-			continue
-		}
-		for i, pv := range partial[w] {
-			out[i] += pv
-		}
-	}
-	return out
-}
-
 // CrossingPoint finds the unique β ∈ (0,1) at which the tuples at sorted
 // positions i < j swap their PRFe order, if any (Theorem 4). See the
 // package-level CrossingPoint for the contract.
@@ -470,7 +423,7 @@ func (v *Prepared) PRFeComboParallel(terms []ExpTerm) []complex128 {
 // single incremental pass over the span (see logRhoDirect), instead of the
 // former fixed-count bisection that re-walked the span and recomputed the
 // α-independent log(p_j)−log(p_i) on every probe (kept as
-// CrossingPointReference for equivalence tests and benchmarks). Pairs with
+// coreref.CrossingPoint for equivalence tests and benchmarks). Pairs with
 // p_i = p_j exactly are reported as non-crossing: their curves meet only at
 // the boundary α = 1, not inside (0,1).
 func (v *Prepared) CrossingPoint(i, j int) (float64, bool) {
@@ -522,48 +475,6 @@ func newtonRootDirect(probs []float64, i, j int, logDiff, lo, hi float64) float6
 		x = 0.5 * (lo + hi)
 	}
 	return 0.5 * (lo + hi)
-}
-
-// CrossingPointReference is the pre-optimization crossing finder: plain
-// bisection where every probe recomputes the full O(j−i) log-sum including
-// the α-independent log(p_j)−log(p_i). Kept as the equivalence reference
-// and benchmark baseline for CrossingPoint.
-func (v *Prepared) CrossingPointReference(i, j int) (float64, bool) {
-	if i == j {
-		return 0, false
-	}
-	if i > j {
-		i, j = j, i
-	}
-	pi, pj := v.probs[i], v.probs[j]
-	if pi <= 0 || pj <= 0 {
-		return 0, false
-	}
-	logRho := func(alpha float64) float64 {
-		r := math.Log(pj) - math.Log(pi)
-		for l := i; l < j; l++ {
-			f := 1 - v.probs[l] + v.probs[l]*alpha
-			if f <= 0 {
-				return math.Inf(-1)
-			}
-			r += math.Log(f)
-		}
-		return r
-	}
-	lo, hi := crossEps, 1.0
-	flo, fhi := logRho(lo), logRho(hi)
-	if exact.Same(flo, fhi) || (flo < 0) == (fhi < 0) {
-		return 0, false // same sign at both ends: no swap in (0,1)
-	}
-	for iter := 0; iter < 200 && hi-lo > 1e-14; iter++ {
-		mid := (lo + hi) / 2
-		if (logRho(mid) < 0) == (flo < 0) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, true
 }
 
 // ---------------------------------------------------------------------------

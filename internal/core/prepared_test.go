@@ -249,25 +249,6 @@ func TestPreparedMatchesLegacyKernels(t *testing.T) {
 	}
 }
 
-// The fused single-pass PRFeCombo must be bit-for-bit identical to the
-// per-term multi-scan evaluation; the parallel-by-term variant must agree
-// within 1e-12.
-func TestPRFeComboFusedAndParallelMatchMultiPass(t *testing.T) {
-	rng := rand.New(rand.NewSource(202))
-	for trial := 0; trial < 12; trial++ {
-		n := 1 + rng.Intn(200)
-		l := 1 + rng.Intn(40)
-		d := gnarlyDataset(rng, n+1)
-		terms := randTerms(rng, l)
-		v := Prepare(d)
-
-		want := refPRFeCombo(d, terms)
-		equalComplexes(t, "PRFeCombo(fused)", v.PRFeCombo(terms), want, 0)
-		equalComplexes(t, "PRFeComboMultiPass", PRFeComboMultiPass(v, terms), want, 0)
-		equalComplexes(t, "PRFeComboParallel", v.PRFeComboParallel(terms), want, 1e-12)
-	}
-}
-
 // The parallel batch APIs must agree exactly with their serial one-at-a-time
 // counterparts (each grid point is the identical scalar kernel).
 func TestParallelBatchesMatchSerial(t *testing.T) {
@@ -429,7 +410,7 @@ func TestPreparedConcurrentUse(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	v.PRFeComboParallel(randTerms(rng, 32))
+	v.PRFeCombo(randTerms(rng, 32))
 	v.PRFeCurve(alphas)
 	<-done
 }

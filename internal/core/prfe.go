@@ -46,24 +46,6 @@ func PRFeCombo(d *pdb.Dataset, terms []ExpTerm) []complex128 {
 	return Prepare(d).PRFeCombo(terms)
 }
 
-// PRFeComboMultiPass is the pre-fusion reference implementation of
-// PRFeCombo: one full scan of the data per term, accumulating into the
-// output between scans. Retained for equivalence tests and benchmarks; new
-// code should use Prepared.PRFeCombo (fused) or PRFeComboParallel.
-func PRFeComboMultiPass(v *Prepared, terms []ExpTerm) []complex128 {
-	n := v.Len()
-	out := make([]complex128, n)
-	for _, term := range terms {
-		prod := complex(1, 0)
-		for i := 0; i < n; i++ {
-			p := complex(v.Prob(i), 0)
-			out[v.ID(i)] += term.U * prod * p * term.Alpha
-			prod *= 1 - p + p*term.Alpha
-		}
-	}
-	return out
-}
-
 // RealParts extracts the real components of complex ranking values.
 func RealParts(vals []complex128) []float64 {
 	out := make([]float64, len(vals))

@@ -225,59 +225,6 @@ func TestSweepManualAdvance(t *testing.T) {
 	}
 }
 
-// TestSpectrumSizeExactVsBruteForce verifies the event-counting spectrum
-// against first principles: enumerate every pairwise crossing point with the
-// reference bisection, evaluate the reference ranking between consecutive
-// crossings, and count distinct rankings.
-func TestSpectrumSizeExactVsBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, n := range []int{2, 3, 5, 8, 12} {
-		for trial := 0; trial < 8; trial++ {
-			d := gnarlyDataset(rng, n)
-			v := Prepare(d)
-
-			var betas []float64
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					if v.Prob(i) == v.Prob(j) {
-						continue // tangency at α=1 only; not an interior crossing
-					}
-					if beta, ok := v.CrossingPointReference(i, j); ok && beta > spectrumEps {
-						// SpectrumSize's documented domain starts at 1e-9;
-						// crossings below it (tiny-probability artifacts)
-						// are outside both counts.
-						betas = append(betas, beta)
-					}
-				}
-			}
-			sort.Float64s(betas)
-			// Sample a probe α inside every inter-crossing cell of (0, 1).
-			probes := []float64{}
-			prev := spectrumEps
-			for _, b := range betas {
-				if b-prev > 1e-12 {
-					probes = append(probes, prev+(b-prev)/2)
-				}
-				prev = b
-			}
-			probes = append(probes, prev+(1-prev)/2)
-			count := 0
-			var last pdb.Ranking
-			for _, alpha := range probes {
-				r := v.RankPRFe(alpha)
-				if last == nil || !sameRanking(last, r) {
-					count++
-					last = r
-				}
-			}
-			if got := v.SpectrumSize(); got != count {
-				t.Fatalf("n=%d trial=%d: exact spectrum %d, brute force %d (crossings at %v)",
-					n, trial, got, count, betas)
-			}
-		}
-	}
-}
-
 // TestSpectrumSizeExactDominatesGrid: the sampled spectrum can only miss
 // rankings, never invent them, and a sufficiently dense grid converges to
 // the exact count.
@@ -294,31 +241,6 @@ func TestSpectrumSizeExactDominatesGrid(t *testing.T) {
 		}
 		if dense := v.SpectrumSizeGrid(2_000_000); dense != exact {
 			t.Fatalf("n=%d: dense grid %d != exact %d", n, v.SpectrumSizeGrid(2_000_000), exact)
-		}
-	}
-}
-
-// TestCrossingPointMatchesReference pins the incremental Newton solver to
-// the plain-bisection reference across random pairs, including long spans
-// that trigger the series evaluator inside sweeps.
-func TestCrossingPointMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(864))
-	for _, n := range []int{10, 100, 800} {
-		d := gnarlyDataset(rng, n)
-		v := Prepare(d)
-		for trial := 0; trial < 300; trial++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			if v.Prob(min(i, j)) == v.Prob(max(i, j)) {
-				continue // semantics differ deliberately: tangency at α=1
-			}
-			b1, ok1 := v.CrossingPoint(i, j)
-			b2, ok2 := v.CrossingPointReference(i, j)
-			if ok1 != ok2 {
-				t.Fatalf("n=%d pair (%d,%d): incremental ok=%v reference ok=%v", n, i, j, ok1, ok2)
-			}
-			if ok1 && math.Abs(b1-b2) > 1e-9 {
-				t.Fatalf("n=%d pair (%d,%d): crossing %v vs reference %v", n, i, j, b1, b2)
-			}
 		}
 	}
 }

@@ -416,23 +416,16 @@ func finishRanking(r pdb.Ranking, q Query) pdb.Ranking {
 	return r
 }
 
-// DefaultStreamChunk is the grid-chunk size RankBatchStream uses when the
-// caller passes a non-positive one: small enough that the first results
-// reach the consumer promptly, large enough that monotone grids still
-// amortize the kinetic sweep's initial sort across several points.
-const DefaultStreamChunk = 8
-
 // RankBatchStream evaluates the same α grid as RankBatch but emits results
-// incrementally instead of materializing the whole batch: the grid is split
-// into consecutive chunks of up to chunk points, each chunk runs through
-// the exact batch kernels RankBatch uses, and emit is called once per chunk
-// with that chunk's results, in grid order. Every emitted Result is
-// identical to the one RankBatch would return at the same grid point (the
-// batch kernels are certified per-α against the re-sort reference, so chunk
-// boundaries never change answers). The context is honored between chunks
-// and inside the kernels; an emit error aborts the stream and is returned
-// unchanged. The serving layer's streamed /rankbatch is built on this.
-func (e *Engine) RankBatchStream(ctx context.Context, q Query, chunk int, emit func(rs []Result) error) error {
+// incrementally instead of materializing the whole batch: each grid point
+// runs as a one-point RankBatch, and emit is called once per point with
+// that point's result, in grid order. Every emitted Result is identical to
+// the one RankBatch would return at the same grid point (the batch kernels
+// are certified per-α against the re-sort reference). The context is
+// honored between grid points and inside the kernels; an emit error aborts
+// the stream and is returned unchanged. The serving layer's streamed
+// /rankbatch is built on this.
+func (e *Engine) RankBatchStream(ctx context.Context, q Query, emit func(r *Result) error) error {
 	if e == nil || e.r == nil {
 		return errNilRanker
 	}
@@ -442,21 +435,14 @@ func (e *Engine) RankBatchStream(ctx context.Context, q Query, chunk int, emit f
 	if len(q.Alphas) == 0 {
 		return errBatchAlpha
 	}
-	if chunk <= 0 {
-		chunk = DefaultStreamChunk
-	}
-	for start := 0; start < len(q.Alphas); start += chunk {
-		end := start + chunk
-		if end > len(q.Alphas) {
-			end = len(q.Alphas)
-		}
-		sub := q
-		sub.Alphas = q.Alphas[start:end]
-		rs, err := e.RankBatch(ctx, sub)
+	for a := range q.Alphas {
+		point := q
+		point.Alphas = q.Alphas[a : a+1]
+		rs, err := e.RankBatch(ctx, point)
 		if err != nil {
 			return err
 		}
-		if err := emit(rs); err != nil {
+		if err := emit(&rs[0]); err != nil {
 			return err
 		}
 	}

@@ -1,12 +1,10 @@
 package junction
 
 import (
-	"context"
 	"sort"
 	"sync"
 
 	"repro/internal/exact"
-	"repro/internal/par"
 	"repro/internal/pdb"
 )
 
@@ -21,8 +19,11 @@ import (
 //
 // A PreparedNetwork is safe for concurrent use: the calibrated tree and the
 // cached matrix are immutable once built, and every DP query checks a
-// private evaluation state out of an internal pool.
+// private evaluation state out of an internal pool. The PRFe methods come
+// from the embedded pdb.PRFeFront, whose state is the cached matrix itself.
 type PreparedNetwork struct {
+	pdb.PRFeFront[*PreparedNetwork, *pdb.RankDistribution]
+
 	jt   *JTree
 	marg []float64 // cached Pr(X_v = 1)
 	pool sync.Pool // *dpEval
@@ -50,6 +51,7 @@ func PrepareJunctionTree(jt *JTree) *PreparedNetwork {
 	for v := range pn.marg {
 		pn.marg[v] = jt.VariableMarginal(v)
 	}
+	pn.PRFeFront = pdb.NewPRFeFront(pn, jt.net.n, (*PreparedNetwork).RankDistribution, (*PreparedNetwork).prfeInto, nil)
 	return pn
 }
 
@@ -105,42 +107,13 @@ func (pn *PreparedNetwork) PRF(omega func(tu pdb.Tuple, rank int) float64) []flo
 	return out
 }
 
-// PRFe computes Υ_α for every tuple by folding the cached rank distribution
-// with powers of α. After the first ranking query the marginal cost of a new
-// α is one O(n²) fold. Results are identical to the one-shot PRFe.
-func (pn *PreparedNetwork) PRFe(alpha complex128) []complex128 {
-	rd := pn.RankDistribution()
-	out := make([]complex128, pn.Len())
+// prfeInto folds the cached rank distribution with powers of α into out —
+// the front's fill hook. After the first ranking query the marginal cost of
+// a new α is one O(n²) fold. Results are identical to the one-shot PRFe.
+func (pn *PreparedNetwork) prfeInto(rd *pdb.RankDistribution, alpha complex128, out []complex128) {
 	for v := range out {
 		out[v] = prfeFold(rd.Dist[v], alpha)
 	}
-	return out
-}
-
-// prfeBatchCtx evaluates PRFe for every α of a grid: the DP runs once and
-// the per-α folds fan out across GOMAXPROCS goroutines, with cancellation
-// honored between grid points. out[a] equals PRFe(alphas[a]) bit-for-bit.
-// It is the body of QueryPRFeBatch.
-func (pn *PreparedNetwork) prfeBatchCtx(ctx context.Context, alphas []complex128) ([][]complex128, error) {
-	rd := pn.RankDistribution()
-	out := make([][]complex128, len(alphas))
-	err := par.ForWorkersCtx(ctx, par.Workers(len(alphas)), len(alphas), func(_, a int) {
-		row := make([]complex128, pn.Len())
-		for v := range row {
-			row[v] = prfeFold(rd.Dist[v], alphas[a])
-		}
-		out[a] = row
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RankPRFe returns the PRFe(α) ranking of the network's tuples for real α,
-// ranking by |Υ|.
-func (pn *PreparedNetwork) RankPRFe(alpha float64) pdb.Ranking {
-	return pdb.RankByAbs(pn.PRFe(complex(alpha, 0)))
 }
 
 // ERank returns E[r(t)] per tuple over the cached matrix and marginals,
@@ -196,9 +169,12 @@ func (pn *PreparedNetwork) MedianRank() []float64 {
 // versus Θ(n²) per tuple for the DP.
 //
 // A PreparedChain is safe for concurrent use: queries check private
-// product-tree states out of an internal pool, and the batch methods fan α
-// values across GOMAXPROCS goroutines.
+// product-tree states out of an internal pool. The PRFe methods come from
+// the embedded pdb.PRFeFront over prfeInto, which fans batch α values across
+// GOMAXPROCS goroutines.
 type PreparedChain struct {
+	pdb.PRFeFront[*PreparedChain, *chainEval]
+
 	c     *Chain
 	order []int           // variables by non-increasing score, ties by index
 	m     [][2]float64    // m[j][y] = Pr(Y_j = y)
@@ -258,6 +234,7 @@ func PrepareChain(c *Chain) *PreparedChain {
 		}
 		return pc.order[a] < pc.order[b]
 	})
+	pc.PRFeFront = pdb.NewPRFeFront(pc, n, (*PreparedChain).getEval, (*PreparedChain).prfeInto, (*PreparedChain).putEval)
 	return pc
 }
 
@@ -338,7 +315,9 @@ func (pc *PreparedChain) getEval() *chainEval {
 func (pc *PreparedChain) putEval(e *chainEval) { pc.pool.Put(e) }
 
 // prfeInto evaluates Υ_α for every variable into out, walking the tuples in
-// rank order over one product tree.
+// rank order over one product tree — the front's fill hook: O(n log n) for
+// the whole tuple set at one α. See PRFeChainDP for the Θ(n³)
+// rank-distribution reference it is certified against.
 func (pc *PreparedChain) prfeInto(e *chainEval, alpha complex128, out []complex128) {
 	n := pc.Len()
 	identity := mat2{1, 0, 0, 1}
@@ -359,70 +338,4 @@ func (pc *PreparedChain) prfeInto(e *chainEval, alpha complex128, out []complex1
 		// column 1 (the Y_v = 1 states) by α.
 		e.setLeaf(v, mat2{b[0], alpha * b[1], b[2], alpha * b[3]})
 	}
-}
-
-// PRFe evaluates Υ_α for every tuple with the product-tree algorithm:
-// O(n log n) for the whole tuple set at one α. See PRFeChainDP for the
-// Θ(n³) rank-distribution reference it is certified against.
-func (pc *PreparedChain) PRFe(alpha complex128) []complex128 {
-	out := make([]complex128, pc.Len())
-	e := pc.getEval()
-	pc.prfeInto(e, alpha, out)
-	pc.putEval(e)
-	return out
-}
-
-// prfeBatchCtx evaluates PRFe for every α of a grid, fanning the grid
-// across GOMAXPROCS goroutines with one pooled product tree per worker and
-// honoring cancellation between grid points. out[a] equals PRFe(alphas[a])
-// bit-for-bit.
-func (pc *PreparedChain) prfeBatchCtx(ctx context.Context, alphas []complex128) ([][]complex128, error) {
-	out := make([][]complex128, len(alphas))
-	workers := par.Workers(len(alphas))
-	evals := make([]*chainEval, workers)
-	err := par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
-		if evals[w] == nil {
-			evals[w] = pc.getEval()
-		}
-		row := make([]complex128, pc.Len())
-		pc.prfeInto(evals[w], alphas[a], row)
-		out[a] = row
-	})
-	for _, e := range evals {
-		if e != nil {
-			pc.putEval(e)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RankPRFe returns the PRFe(α) ranking of the chain's tuples for real α,
-// ranking by |Υ|.
-func (pc *PreparedChain) RankPRFe(alpha float64) pdb.Ranking {
-	return pdb.RankByAbs(pc.PRFe(complex(alpha, 0)))
-}
-
-// rankBatchCtx is the cancellation-aware per-α ranking loop shared by the
-// full-ranking and top-k batch paths.
-func (pc *PreparedChain) rankBatchCtx(ctx context.Context, alphas []float64, emit func(a int, r pdb.Ranking)) error {
-	workers := par.Workers(len(alphas))
-	evals := make([]*chainEval, workers)
-	vals := make([][]complex128, workers)
-	err := par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
-		if evals[w] == nil {
-			evals[w] = pc.getEval()
-			vals[w] = make([]complex128, pc.Len())
-		}
-		pc.prfeInto(evals[w], complex(alphas[a], 0), vals[w])
-		emit(a, pdb.RankByAbs(vals[w]))
-	})
-	for _, e := range evals {
-		if e != nil {
-			pc.putEval(e)
-		}
-	}
-	return err
 }

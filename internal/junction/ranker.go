@@ -3,121 +3,28 @@ package junction
 import (
 	"context"
 
-	"repro/internal/par"
 	"repro/internal/pdb"
 )
 
 // This file holds the two graphical-model arms of the unified Ranker
-// engine: the Query* methods make *PreparedNetwork and *PreparedChain
-// satisfy engine.Ranker.
+// engine. The PRFe family (QueryPRFe, the batches, QueryPRFeCombo) of
+// *PreparedNetwork and *PreparedChain is promoted from the embedded
+// pdb.PRFeFront over each view's prfeInto kernel; the methods below make up
+// the rest of engine.Ranker.
 //
 // On a PreparedNetwork every ranking function folds the cached
 // rank-distribution matrix (one Section 9.4 DP pass, ever), so the marginal
-// cost of a query after the first is an O(n²) fold. On a PreparedChain the
-// PRFe family runs the O(n log n) product-tree algorithm. PT(h) and PRFω(h)
-// need only the first h coefficients of each tuple's partial-sum generating
-// function, so they run the Section 9.3 DP truncated to h coefficients,
-// O(n²·h) per query. Arbitrary-ω PRF, Median-Rank and E-Rank weigh every
-// rank and fold the chain's Θ(n³) rank-distribution matrix, built by the
-// same DP once and cached.
+// cost of a query after the first is an O(n²) fold; PRFe folds it with
+// powers of α. On a PreparedChain PRFe runs the O(n log n) product-tree
+// algorithm. PT(h) and PRFω(h) need only the first h coefficients of each
+// tuple's partial-sum generating function, so they run the Section 9.3 DP
+// truncated to h coefficients, O(n²·h) per query. Arbitrary-ω PRF,
+// Median-Rank and E-Rank weigh every rank and fold the chain's Θ(n³)
+// rank-distribution matrix, built by the same DP once and cached.
 
 // ---------------------------------------------------------------------------
 // PreparedNetwork: arbitrary correlations via the junction tree.
 // ---------------------------------------------------------------------------
-
-// QueryPRFe evaluates Υ_α per TupleID by folding the cached rank
-// distribution. Identical to PRFe.
-func (pn *PreparedNetwork) QueryPRFe(ctx context.Context, alpha complex128) ([]complex128, error) {
-	if err := pdb.CheckAlphaC(alpha); err != nil {
-		return nil, err
-	}
-	if err := pdb.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pn.PRFe(alpha), nil
-}
-
-// QueryPRFeBatch evaluates Υ_α for every α of a grid: the DP runs (at most)
-// once and the per-α folds fan out across workers. out[a] is bit-for-bit
-// PRFe(alphas[a]).
-func (pn *PreparedNetwork) QueryPRFeBatch(ctx context.Context, alphas []complex128) ([][]complex128, error) {
-	if err := pdb.CheckAlphaGridC(alphas); err != nil {
-		return nil, err
-	}
-	return pn.prfeBatchCtx(ctx, alphas)
-}
-
-// QueryRankPRFe returns the PRFe(α) ranking by |Υ|. Identical to RankPRFe.
-func (pn *PreparedNetwork) QueryRankPRFe(ctx context.Context, alpha float64) (pdb.Ranking, error) {
-	if err := pdb.CheckAlpha(alpha); err != nil {
-		return nil, err
-	}
-	if err := pdb.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pn.RankPRFe(alpha), nil
-}
-
-// rankBatchCtx runs the per-α fold-and-rank loop with one value buffer per
-// worker.
-func (pn *PreparedNetwork) rankBatchCtx(ctx context.Context, alphas []float64, emit func(a int, r pdb.Ranking)) error {
-	rd := pn.RankDistribution()
-	n := pn.Len()
-	workers := par.Workers(len(alphas))
-	vals := make([][]complex128, workers)
-	return par.ForWorkersCtx(ctx, workers, len(alphas), func(w, a int) {
-		if vals[w] == nil {
-			vals[w] = make([]complex128, n)
-		}
-		alpha := complex(alphas[a], 0)
-		for v := 0; v < n; v++ {
-			vals[w][v] = prfeFold(rd.Dist[v], alpha)
-		}
-		emit(a, pdb.RankByAbs(vals[w]))
-	})
-}
-
-// QueryRankPRFeBatch ranks every α of a grid in parallel over the cached
-// matrix. out[a] is bit-for-bit RankPRFe(alphas[a]).
-func (pn *PreparedNetwork) QueryRankPRFeBatch(ctx context.Context, alphas []float64) ([]pdb.Ranking, error) {
-	if err := pdb.CheckAlphaGrid(alphas); err != nil {
-		return nil, err
-	}
-	out := make([]pdb.Ranking, len(alphas))
-	if err := pn.rankBatchCtx(ctx, alphas, func(a int, r pdb.Ranking) { out[a] = r }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// QueryTopKPRFeBatch answers top-k at every α of a grid. out[a] is
-// bit-for-bit RankPRFe(alphas[a]).TopK(k).
-func (pn *PreparedNetwork) QueryTopKPRFeBatch(ctx context.Context, alphas []float64, k int) ([]pdb.Ranking, error) {
-	if err := pdb.CheckAlphaGrid(alphas); err != nil {
-		return nil, err
-	}
-	if err := pdb.CheckTopK(k); err != nil {
-		return nil, err
-	}
-	out := make([]pdb.Ranking, len(alphas))
-	if err := pn.rankBatchCtx(ctx, alphas, func(a int, r pdb.Ranking) { out[a] = r.TopK(k) }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// QueryPRFeCombo evaluates Σ_l u_l·Υ_{α_l}: per-term folds of the cached
-// matrix summed in term order.
-func (pn *PreparedNetwork) QueryPRFeCombo(ctx context.Context, us, alphas []complex128) ([]complex128, error) {
-	if err := pdb.CheckCombo(us, alphas); err != nil {
-		return nil, err
-	}
-	vals, err := pn.QueryPRFeBatch(ctx, alphas[:len(us)])
-	if err != nil {
-		return nil, err
-	}
-	return pdb.ComboSum(us, vals, pn.Len()), nil
-}
 
 // QueryPRF evaluates Υω by folding the cached rank distribution with the
 // weight function. Identical to PRF.
@@ -207,80 +114,6 @@ func stepOmega(h int) func(t pdb.Tuple, rank int) float64 {
 // ---------------------------------------------------------------------------
 // PreparedChain: the Section 9.3 Markov-chain special case.
 // ---------------------------------------------------------------------------
-
-// QueryPRFe evaluates Υ_α per TupleID with the O(n log n) product-tree
-// algorithm. Identical to PRFe / PRFeChain.
-func (pc *PreparedChain) QueryPRFe(ctx context.Context, alpha complex128) ([]complex128, error) {
-	if err := pdb.CheckAlphaC(alpha); err != nil {
-		return nil, err
-	}
-	if err := pdb.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pc.PRFe(alpha), nil
-}
-
-// QueryPRFeBatch evaluates Υ_α for every α of a grid over pooled product
-// trees. out[a] is bit-for-bit PRFe(alphas[a]).
-func (pc *PreparedChain) QueryPRFeBatch(ctx context.Context, alphas []complex128) ([][]complex128, error) {
-	if err := pdb.CheckAlphaGridC(alphas); err != nil {
-		return nil, err
-	}
-	return pc.prfeBatchCtx(ctx, alphas)
-}
-
-// QueryRankPRFe returns the PRFe(α) ranking by |Υ|. Identical to RankPRFe.
-func (pc *PreparedChain) QueryRankPRFe(ctx context.Context, alpha float64) (pdb.Ranking, error) {
-	if err := pdb.CheckAlpha(alpha); err != nil {
-		return nil, err
-	}
-	if err := pdb.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pc.RankPRFe(alpha), nil
-}
-
-// QueryRankPRFeBatch ranks every α of a grid in parallel. out[a] is
-// bit-for-bit RankPRFe(alphas[a]).
-func (pc *PreparedChain) QueryRankPRFeBatch(ctx context.Context, alphas []float64) ([]pdb.Ranking, error) {
-	if err := pdb.CheckAlphaGrid(alphas); err != nil {
-		return nil, err
-	}
-	out := make([]pdb.Ranking, len(alphas))
-	if err := pc.rankBatchCtx(ctx, alphas, func(a int, r pdb.Ranking) { out[a] = r }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// QueryTopKPRFeBatch answers top-k at every α of a grid. out[a] is
-// bit-for-bit RankPRFe(alphas[a]).TopK(k).
-func (pc *PreparedChain) QueryTopKPRFeBatch(ctx context.Context, alphas []float64, k int) ([]pdb.Ranking, error) {
-	if err := pdb.CheckAlphaGrid(alphas); err != nil {
-		return nil, err
-	}
-	if err := pdb.CheckTopK(k); err != nil {
-		return nil, err
-	}
-	out := make([]pdb.Ranking, len(alphas))
-	if err := pc.rankBatchCtx(ctx, alphas, func(a int, r pdb.Ranking) { out[a] = r.TopK(k) }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// QueryPRFeCombo evaluates Σ_l u_l·Υ_{α_l}: per-term product-tree passes
-// summed in term order.
-func (pc *PreparedChain) QueryPRFeCombo(ctx context.Context, us, alphas []complex128) ([]complex128, error) {
-	if err := pdb.CheckCombo(us, alphas); err != nil {
-		return nil, err
-	}
-	vals, err := pc.prfeBatchCtx(ctx, alphas[:len(us)])
-	if err != nil {
-		return nil, err
-	}
-	return pdb.ComboSum(us, vals, pc.Len()), nil
-}
 
 // QueryPRF evaluates Υω by folding the cached chain rank distribution
 // (Θ(n³) on first use, O(n²) afterwards): an arbitrary ω may weigh every

@@ -1,7 +1,8 @@
 // Package par holds the tiny work-stealing fan-out primitive shared by every
-// parallel batch API in the repository (core.Prepared, andxor.PreparedTree,
-// junction.PreparedNetwork/PreparedChain). It exists so the correlated-data
-// packages can parallelize without importing the independent-tuples engine.
+// parallel batch API in the repository (core.Prepared, and pdb.PRFeFront for
+// andxor.PreparedTree and junction.PreparedNetwork/PreparedChain). It exists
+// so the correlated-data packages can parallelize without importing the
+// independent-tuples engine.
 package par
 
 import (

@@ -67,27 +67,25 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, d *dataset,
 	// BatchResponse value; json.Marshal per element matches the encoder's
 	// element encoding, so the concatenation is the buffered body.
 	started := false
-	err := d.eng.RankBatchStream(ctx, q, 1, func(rs []engine.Result) error {
-		for i := range rs {
-			b, err := json.Marshal(FromResult(&rs[i]))
+	err := d.eng.RankBatchStream(ctx, q, func(r *engine.Result) error {
+		b, err := json.Marshal(FromResult(r))
+		if err != nil {
+			return err
+		}
+		if !started {
+			started = true
+			name, err := json.Marshal(d.name)
 			if err != nil {
 				return err
 			}
-			if !started {
-				started = true
-				name, err := json.Marshal(d.name)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(out, `{"dataset":%s,"results":[`, name)
-			} else {
-				if _, err := out.Write([]byte{','}); err != nil {
-					return err
-				}
-			}
-			if _, err := out.Write(b); err != nil {
+			fmt.Fprintf(out, `{"dataset":%s,"results":[`, name)
+		} else {
+			if _, err := out.Write([]byte{','}); err != nil {
 				return err
 			}
+		}
+		if _, err := out.Write(b); err != nil {
+			return err
 		}
 		if zw != nil {
 			if err := zw.Flush(); err != nil {

@@ -263,8 +263,8 @@ func Serve(ctx context.Context, addr string, s *RankServer) error {
 // struct-of-arrays layout. Build it once with Prepare, then call its kernel
 // methods (PRF, PRFOmega, PTh, PRFe, PRFeLog, PRFeCombo,
 // RankDistributionTrunc, …), its parallel batch methods (PRFeLogBatch,
-// PRFeCurve, PRFeComboParallel) or its ctx-aware Ranker methods
-// (QueryRankPRFeBatch, QueryTopKPRFeBatch, …) — none of them re-clones or
+// PRFeCurve) or its ctx-aware Ranker methods (QueryRankPRFeBatch,
+// QueryTopKPRFeBatch, …) — none of them re-clones or
 // re-sorts, so an α-spectrum sweep or a multi-term PRFe combination pays
 // the O(n log n) sort exactly once. Safe for concurrent use.
 type Prepared = core.Prepared
