@@ -1,17 +1,15 @@
 package andxor
 
 // Expected ranks (the E-Rank baseline of Cormode et al., reviewed in
-// Section 3.2) on correlated data. The paper shows (Section 3.3,
-// "Relationship to other ranking functions") that the expected rank of t
-// splits into
+// Section 3.2) on correlated data. With absent tuples taking rank |pw|,
+// linearity of expectation gives
 //
-//	er1(t) = Σ_j j·Pr(r(t)=j)              (worlds containing t)
-//	er2(t) = Σ_{pw: t∉pw} Pr(pw)·|pw|      (worlds missing t)
+//	E[r(t)] = E|pw| − Σ_{s ranked after t} Pr(s ∧ t),
 //
-// Both reduce to first-derivative evaluations of the tree's generating
-// function at x=1, so each tuple costs two O(n) dual-number tree walks —
-// generalizing the prior expected-rank algorithms to and/xor trees exactly
-// as the paper remarks.
+// and the sum is a first derivative of the tree's generating function at
+// x=1 with the leaves ranked after t labelled x: one O(n) dual-number tree
+// walk per tuple — generalizing the prior expected-rank algorithms to
+// and/xor trees as the paper remarks (Section 3.3).
 
 // dualBi tracks (A(1), A'(1), B(1), B'(1)) of the bivariate generating
 // function F = A(x) + B(x)·y under a leaf labeling.
@@ -19,16 +17,16 @@ type dualBi struct {
 	a, da, b, db float64
 }
 
-// evalDual computes the dual-number evaluation for the labeling where leaf
-// positions in xSet carry x, the leaf target carries y, and the rest 1.
-// xAll=true labels every non-target leaf x (the er2 labeling).
-func evalDual(n *Node, pos []int, target int, xAll bool) dualBi {
+// evalDual computes the dual-number evaluation for the labeling where the
+// leaf at ranked position target carries y, the leaves ranked after it carry
+// x, and the rest 1.
+func evalDual(n *Node, pos []int, target int) dualBi {
 	switch n.kind {
 	case Leaf:
 		switch {
 		case pos[n.id] == target:
 			return dualBi{b: 1}
-		case xAll || pos[n.id] < target:
+		case pos[n.id] > target:
 			return dualBi{a: 1, da: 1} // A(x)=x
 		default:
 			return dualBi{a: 1}
@@ -44,7 +42,7 @@ func evalDual(n *Node, pos []int, target int, xAll bool) dualBi {
 			if p == 0 {
 				continue
 			}
-			cd := evalDual(c, pos, target, xAll)
+			cd := evalDual(c, pos, target)
 			out.a += p * cd.a
 			out.da += p * cd.da
 			out.b += p * cd.b
@@ -54,7 +52,7 @@ func evalDual(n *Node, pos []int, target int, xAll bool) dualBi {
 	default: // And
 		acc := dualBi{a: 1}
 		for _, c := range n.children {
-			cd := evalDual(c, pos, target, xAll)
+			cd := evalDual(c, pos, target)
 			acc = dualBi{
 				a:  acc.a * cd.a,
 				da: acc.da*cd.a + acc.a*cd.da,

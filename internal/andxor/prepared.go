@@ -90,14 +90,9 @@ func (pt *PreparedTree) ERank() []float64 {
 		pos[id] = i
 	}
 	for i, id := range pt.order {
-		// er1: B(x) = Σ_j Pr(r=j)·x^{j−1} ⇒ Σ_j j·Pr(r=j) = B'(1)+B(1).
-		d1 := evalDual(t.root, pos, i, false)
-		er1 := d1.db + d1.b
-		// er2: with all other leaves x, B(x) = Σ_j Pr(t ∧ j others)·x^j ⇒
-		// E[|pw|·δ(t∈pw)] = B'(1)+B(1), and er2 = C − that.
-		d2 := evalDual(t.root, pos, i, true)
-		er2 := pt.c - (d2.db + d2.b)
-		out[id] = er1 + er2
+		// With the leaves ranked after t labelled x, B(x) = Σ_j Pr(t ∧ j of
+		// them present)·x^j, so B'(1) = Σ_{s after t} Pr(s ∧ t).
+		out[id] = pt.c - evalDual(t.root, pos, i).db
 	}
 	return out
 }

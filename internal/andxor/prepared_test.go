@@ -2,6 +2,7 @@ package andxor
 
 import (
 	"context"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"runtime"
@@ -209,4 +210,56 @@ func TestPreparedERankMatchesOneShot(t *testing.T) {
 			}
 		}
 	})
+}
+
+// On an x-relation the pair joints are known in closed form: Pr(s ∧ t) = 0
+// inside a group and p_s·p_t across groups. The dual-number walk must agree
+// with E|pw| − Σ_{s ranked after t} Pr(s ∧ t) beyond oracle size.
+func TestXRelationERankMatchesClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var groups [][]Alternative
+	for n := 0; n < 150; {
+		alts := make([]Alternative, 1+rng.Intn(4))
+		mass := rng.Float64()
+		for i := range alts {
+			alts[i] = Alternative{Score: float64(rng.Intn(60)), Prob: mass / float64(len(alts))}
+		}
+		groups = append(groups, alts)
+		n += len(alts)
+	}
+	tree, err := XTuples(groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tree.Len()
+	order := tree.sortedLeafOrder()
+	var c float64
+	for id := 0; id < n; id++ {
+		c += tree.Leaf(pdb.TupleID(id)).Prob
+	}
+	want := make([]float64, n)
+	for i, id := range order {
+		want[id] = c
+		for _, s := range order[i+1:] {
+			if tree.LeafKey(s) != tree.LeafKey(id) {
+				want[id] -= tree.Leaf(s).Prob * tree.Leaf(id).Prob
+			}
+		}
+	}
+	pt := PrepareTree(tree)
+	got, err := pt.QueryERank(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotX, err := pt.QueryExpectedRank(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range want {
+		wantX := want[id] + 1 - tree.Leaf(pdb.TupleID(id)).Prob
+		if math.Abs(got[id]-want[id]) > 1e-12*max(1, math.Abs(want[id])) ||
+			math.Abs(gotX[id]-wantX) > 1e-12*max(1, math.Abs(wantX)) {
+			t.Fatalf("id=%d: E-Rank %v, Expected-Rank %v; closed form %v, %v", id, got[id], gotX[id], want[id], wantX)
+		}
+	}
 }

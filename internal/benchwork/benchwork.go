@@ -231,8 +231,13 @@ func New(cfg Config) *Suite {
 	s.arm("correlated/prepared/chain-sweep", func() {
 		must(junction.PrepareChain(chain).QueryPRFeBatch(ctx, calphas))
 	})
-	// The first PT(h) read after a refresh: no cached state to lean on.
+	// The first PT(h) and E-Rank reads after a refresh: a fresh view per op,
+	// so no state (no rank-distribution matrix) is cached to lean on.
 	s.arm("correlated/chain-pth-cold", func() { must(junction.PrepareChain(chain).QueryPTh(ctx, 10)) })
+	s.arm("correlated/chain-erank-cold", func() { must(junction.PrepareChain(chain).QueryERank(ctx)) })
+	chainNet := must(chain.Network())
+	s.arm("correlated/network-erank-cold", func() { must(must(junction.PrepareNetwork(chainNet)).QueryERank(ctx)) })
+	s.arm("correlated/tree-erank", func() { must(preparedXorTree.QueryERank(ctx)) })
 	s.arm("correlated/junction-network-sweep-oneshot", func() {
 		for _, a := range netCalphas {
 			must(junction.PRFe(net, a))

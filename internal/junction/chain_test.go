@@ -3,6 +3,7 @@ package junction
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -166,5 +167,145 @@ func TestChainPThCanceled(t *testing.T) {
 	}
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("canceled queries took %v", el)
+	}
+}
+
+// closeScaled reports whether every a[i] and b[i] agree within tol scaled
+// by max(1, |a[i]|, |b[i]|).
+func closeScaled(a, b []float64, tol float64) (int, bool) {
+	if len(a) != len(b) {
+		return -1, false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol*max(1, math.Abs(a[i]), math.Abs(b[i])) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// Chain E-Rank and Expected-Rank sum pairwise joints from two-state walks;
+// neither may build the rank-distribution matrix.
+func TestChainERankLeavesMatrixUnbuilt(t *testing.T) {
+	ctx := context.Background()
+	for name, c := range kernelChains(t) {
+		pc := PrepareChain(c)
+		if _, err := pc.QueryERank(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pc.QueryExpectedRank(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if pc.rd != nil {
+			t.Fatalf("%s: E-Rank built the rank-distribution matrix", name)
+		}
+	}
+}
+
+// The chain's pair-joint walk and the junction tree's per-tuple DP are two
+// kernels for the same expectation; they must agree beyond oracle size, on
+// random and on degenerate chains (zero marginals, ties).
+func TestChainERankMatchesNetwork(t *testing.T) {
+	ctx := context.Background()
+	chains := kernelChains(t)
+	rng := rand.New(rand.NewSource(25))
+	for _, n := range []int{60, 200} {
+		chains[fmt.Sprintf("random-%d", n)] = randChain(rng, n)
+		chains[fmt.Sprintf("degenerate-%d", n)] = randDegenerateChain(rng, n)
+	}
+	for name, c := range chains {
+		net, err := c.Network()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pn, err := PrepareNetwork(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := PrepareChain(c)
+		for _, m := range []struct {
+			metric       string
+			chain, netwk func(context.Context) ([]float64, error)
+		}{
+			{"E-Rank", pc.QueryERank, pn.QueryERank},
+			{"Expected-Rank", pc.QueryExpectedRank, pn.QueryExpectedRank},
+		} {
+			got, err := m.chain(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.netwk(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i, ok := closeScaled(got, want, 1e-12); !ok {
+				t.Fatalf("%s: %s v=%d: chain %v, network %v", name, m.metric, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// lapsingCtx reports its deadline as passed from the (after+1)-th Err call
+// on: a deadline that lapses at a fixed point inside a query too short to
+// time one against.
+type lapsingCtx struct {
+	context.Context
+	calls, after int
+}
+
+func (c *lapsingCtx) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// A deadline that lapses mid-query must end the query soon after: network
+// E-Rank checks ctx per tuple DP, and the matrix folds per row.
+func TestNetworkDeadlineMidQuery(t *testing.T) {
+	c := randChain(rand.New(rand.NewSource(4)), 300)
+	net, err := c.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := make([]*PreparedNetwork, 3)
+	for i := range views {
+		if views[i], err = PrepareNetwork(net); err != nil {
+			t.Fatal(err)
+		}
+	}
+	erView, xrView, cached := views[0], views[1], views[2] // the first two stay fresh
+	cached.RankDistribution()                              // only the fold is left
+	const deadline = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		query func(ctx context.Context) error
+	}{
+		{"E-Rank", func(ctx context.Context) error { _, err := erView.QueryERank(ctx); return err }},
+		{"Expected-Rank", func(ctx context.Context) error { _, err := xrView.QueryExpectedRank(ctx); return err }},
+		{"PRF", func(ctx context.Context) error {
+			// ω outlives the deadline on its first call.
+			_, err := cached.QueryPRF(ctx, func(pdb.Tuple, int) float64 { <-ctx.Done(); return 1 })
+			return err
+		}},
+		{"PT(h)", func(context.Context) error {
+			// The PT(h) fold is too short to time a deadline against, so
+			// this one lapses right after the entry check.
+			_, err := cached.QueryPTh(&lapsingCtx{Context: context.Background(), after: 1}, 10)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			start := time.Now()
+			if err := tc.query(ctx); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("past its deadline: %v, want context.DeadlineExceeded", err)
+			}
+			if el := time.Since(start); el > time.Second {
+				t.Fatalf("returned %v after a %v deadline", el, deadline)
+			}
+		})
 	}
 }

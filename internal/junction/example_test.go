@@ -8,7 +8,8 @@ import (
 
 // A PreparedNetwork triangulates and calibrates the junction tree once and
 // caches the rank-distribution matrix, so every subsequent ranking function
-// (PRF, PRFe at any α, expected ranks) reuses one Section 9.4 DP pass. The
+// that folds it (PRF, PRFe at any α, Median-Rank) reuses one Section 9.4 DP
+// pass. The
 // network here is a 3-variable chain with a strong positive coupling
 // between the top-scored tuples.
 func ExamplePrepareNetwork() {

@@ -93,17 +93,7 @@ func (pn *PreparedNetwork) RankDistribution() *pdb.RankDistribution {
 // folded with the weight function. Results are identical to the one-shot
 // PRF.
 func (pn *PreparedNetwork) PRF(omega func(tu pdb.Tuple, rank int) float64) []float64 {
-	net := pn.jt.net
-	rd := pn.RankDistribution()
-	out := make([]float64, net.n)
-	for v := 0; v < net.n; v++ {
-		tu := pdb.Tuple{ID: pdb.TupleID(v), Score: net.scores[v], Prob: pn.marg[v]}
-		for j, p := range rd.Dist[v] {
-			if p != 0 {
-				out[v] += omega(tu, j+1) * p
-			}
-		}
-	}
+	out, _ := foldOmega(nil, pn.RankDistribution(), pn.jt.net.scores, pn.marg, omega) // a nil ctx never cancels
 	return out
 }
 
@@ -116,25 +106,16 @@ func (pn *PreparedNetwork) prfeInto(rd *pdb.RankDistribution, alpha complex128, 
 	}
 }
 
-// ERank returns E[r(t)] per tuple over the cached matrix and marginals,
-// with the er2 DP passes running on a pooled evaluation state. Results are
-// identical to JTree.ExpectedRanks.
+// ERank returns E[r(t)] per tuple; see QueryERank.
 func (pn *PreparedNetwork) ERank() []float64 {
-	rd := pn.RankDistribution()
-	e := pn.getEval()
-	out := e.expectedRanks(rd, pn.marg)
-	pn.putEval(e)
+	out, _ := pn.QueryERank(nil) // a nil ctx never cancels
 	return out
 }
 
-// ExpectedRank returns the consensus expected rank (the Li/Deshpande
-// convention: absent tuples take rank |pw|+1): ERank plus the absence mass
-// 1 − marginal, the exact gap between the two conventions on every world.
+// ExpectedRank returns the consensus expected rank per tuple; see
+// QueryExpectedRank.
 func (pn *PreparedNetwork) ExpectedRank() []float64 {
-	out := pn.ERank()
-	for v := range out {
-		out[v] += 1 - pn.marg[v]
-	}
+	out, _ := pn.QueryExpectedRank(nil) // a nil ctx never cancels
 	return out
 }
 
@@ -183,17 +164,15 @@ type PreparedChain struct {
 
 	rdOnce sync.Once // guards rd: the Θ(n³) chain DP runs at most once
 	rd     *pdb.RankDistribution
-
-	erMu sync.Mutex // guards er: n more partial-sum DPs, also run at most once
-	er   []float64
 }
 
 // RankDistribution returns the chain's positional-probability matrix,
 // computing it with the Section 9.3 partial-sum DP (Θ(n³)) on first use and
 // serving the cached immutable matrix afterwards. Only the folds that need
-// every rank read it: arbitrary-ω PRF, Median-Rank and E-Rank. PRFe runs
-// the O(n log n) product tree, and PT(h) and PRFω(h) run the same DP
-// truncated to their first h coefficients, O(n²·h), without the matrix.
+// every rank read it: arbitrary-ω PRF and Median-Rank. PRFe runs the
+// O(n log n) product tree, PT(h) and PRFω(h) run the same DP truncated to
+// their first h coefficients, O(n²·h), and E-Rank and Expected-Rank sum
+// pairwise joints from two-state walks, O(n²), all without the matrix.
 func (pc *PreparedChain) RankDistribution() *pdb.RankDistribution {
 	pc.rdOnce.Do(func() { pc.rd = pc.rankDistribution() })
 	return pc.rd

@@ -1,6 +1,7 @@
 package junction
 
 import (
+	"context"
 	"math/bits"
 
 	"repro/internal/pdb"
@@ -339,49 +340,40 @@ func prfeFold(row []float64, alpha complex128) complex128 {
 }
 
 // ExpectedRanks returns E[r(t)] for every tuple of the network, with absent
-// tuples taking rank |pw| (the E-Rank convention). Following the Section 3.3
-// decomposition, er1 comes from the rank distribution and er2 from the joint
-// distribution of (X_t, Σ_{u≠t} X_u), both computed with the Section 9.4
-// partial-sum DP — generalizing the prior expected-rank algorithms to
-// bounded-treewidth graphical models exactly as the paper remarks.
+// tuples taking rank |pw| (the E-Rank convention). By linearity of
+// expectation E[r(t)] = E|pw| − Σ_{s ranked after t} Pr(X_s = 1 ∧ X_t = 1),
+// and one Section 9.4 partial-sum DP per tuple yields that sum — the paper's
+// remark that the expected-rank algorithms generalize to bounded-treewidth
+// graphical models, with no rank-distribution matrix.
 func (jt *JTree) ExpectedRanks() []float64 {
-	e := jt.newDPEval()
-	return e.expectedRanks(e.rankDistribution(), nil)
+	out, _ := jt.newDPEval().expectedRanks(nil) // a nil ctx never cancels
+	return out
 }
 
-// expectedRanks folds er1 from the rank distribution and computes er2 with
-// one all-but-v marked DP per tuple. marg, when non-nil, supplies cached
-// variable marginals.
-func (e *dpEval) expectedRanks(rd *pdb.RankDistribution, marg []float64) []float64 {
+// expectedRanks runs, per tuple t in score order, the DP with the variables
+// ranked after t marked: Σ_p p·Pr(X_t = 1 ∧ P = p) is Σ_{s after t}
+// Pr(X_s = 1 ∧ X_t = 1). ctx is checked before each tuple's DP.
+func (e *dpEval) expectedRanks(ctx context.Context) ([]float64, error) {
 	jt := e.jt
 	n := jt.net.n
-	// C = E[|pw|] = Σ marginals.
-	var c float64
+	var c float64 // E|pw| = Σ marginals
 	for v := 0; v < n; v++ {
-		if marg != nil {
-			c += marg[v]
-		} else {
-			c += jt.VariableMarginal(v)
-		}
+		c += jt.VariableMarginal(v)
+	}
+	for u := range e.delta {
+		e.delta[u] = true
 	}
 	out := make([]float64, n)
-	for v := 0; v < n; v++ {
-		// er1 = Σ_j j·Pr(r(t)=j).
-		var er1 float64
-		for j, p := range rd.Dist[v] {
-			er1 += float64(j+1) * p
+	for _, v := range jt.net.sortedOrder() {
+		if err := pdb.CtxErr(ctx); err != nil {
+			return nil, err
 		}
-		// er2 = C − E[|pw|·δ(t∈pw)], with E[|pw|·δ] = Σ_p (p+1)·Pr(X_t=1 ∧
-		// #others = p), computed by marking every other variable.
-		for u := range e.delta {
-			e.delta[u] = u != v
+		e.delta[v] = false // the variables still marked rank after v
+		var after float64
+		for p, q := range e.rankDP(v) {
+			after += float64(p) * q
 		}
-		sums := e.rankDP(v)
-		var withT float64
-		for p, q := range sums {
-			withT += float64(p+1) * q
-		}
-		out[v] = er1 + (c - withT)
+		out[v] = c - after
 	}
-	return out
+	return out, nil
 }

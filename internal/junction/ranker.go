@@ -12,30 +12,34 @@ import (
 // pdb.PRFeFront over each view's prfeInto kernel; the methods below make up
 // the rest of engine.Ranker.
 //
-// On a PreparedNetwork every ranking function folds the cached
+// E-Rank and Expected-Rank need no rank distribution on either view: by
+// linearity of expectation E[r(t)] = E|pw| − Σ_{s ranked after t}
+// Pr(s ∧ t), a sum of pairwise joint masses (absent tuples take rank |pw|).
+// A network gets each tuple's sum from one Section 9.4 DP with the
+// lower-ranked variables marked; a chain walks a two-state vector forward
+// from each variable, O(n²) in all.
+//
+// On a PreparedNetwork every other ranking function folds the cached
 // rank-distribution matrix (one Section 9.4 DP pass, ever), so the marginal
 // cost of a query after the first is an O(n²) fold; PRFe folds it with
 // powers of α. On a PreparedChain PRFe runs the O(n log n) product-tree
 // algorithm. PT(h) and PRFω(h) need only the first h coefficients of each
 // tuple's partial-sum generating function, so they run the Section 9.3 DP
-// truncated to h coefficients, O(n²·h) per query. Arbitrary-ω PRF,
-// Median-Rank and E-Rank weigh every rank and fold the chain's Θ(n³)
-// rank-distribution matrix, built by the same DP once and cached.
+// truncated to h coefficients, O(n²·h) per query. Arbitrary-ω PRF and
+// Median-Rank weigh every rank and fold the chain's Θ(n³) rank-distribution
+// matrix, built by the same DP once and cached.
 
 // ---------------------------------------------------------------------------
 // PreparedNetwork: arbitrary correlations via the junction tree.
 // ---------------------------------------------------------------------------
 
 // QueryPRF evaluates Υω by folding the cached rank distribution with the
-// weight function. Identical to PRF.
+// weight function, one ctx check per tuple row. Identical to PRF.
 func (pn *PreparedNetwork) QueryPRF(ctx context.Context, omega func(t pdb.Tuple, rank int) float64) ([]float64, error) {
 	if omega == nil {
 		return nil, pdb.ErrNilOmega
 	}
-	if err := pdb.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pn.PRF(omega), nil
+	return pn.fold(ctx, omega)
 }
 
 // QueryPRFOmega evaluates the PRFω(h) family: the weight vector folded as
@@ -44,10 +48,7 @@ func (pn *PreparedNetwork) QueryPRFOmega(ctx context.Context, w []float64) ([]fl
 	if err := pdb.CheckWeights(w); err != nil {
 		return nil, err
 	}
-	if err := pdb.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pn.PRF(weightVecOmega(w)), nil
+	return pn.fold(ctx, weightVecOmega(w))
 }
 
 // QueryPTh evaluates Pr(r(t) ≤ h): the step weight folded over the cached
@@ -56,28 +57,40 @@ func (pn *PreparedNetwork) QueryPTh(ctx context.Context, h int) ([]float64, erro
 	if err := pdb.CheckDepth(h); err != nil {
 		return nil, err
 	}
+	return pn.fold(ctx, stepOmega(h))
+}
+
+// fold checks ctx before the (possibly first, uncancellable) matrix build,
+// then folds the cached matrix with omega, checking ctx per row.
+func (pn *PreparedNetwork) fold(ctx context.Context, omega func(t pdb.Tuple, rank int) float64) ([]float64, error) {
 	if err := pdb.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	return pn.PRF(stepOmega(h)), nil
+	return foldOmega(ctx, pn.RankDistribution(), pn.jt.net.scores, pn.marg, omega)
 }
 
-// QueryERank returns E[r(t)] per tuple via the partial-sum DP. Identical to
-// ERank / JTree.ExpectedRanks.
+// QueryERank returns E[r(t)] per tuple (absent tuples take rank |pw|): one
+// partial-sum DP per tuple on a pooled evaluation state, with a ctx check
+// before each, and no rank-distribution matrix. Identical to
+// JTree.ExpectedRanks.
 func (pn *PreparedNetwork) QueryERank(ctx context.Context) ([]float64, error) {
-	if err := pdb.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pn.ERank(), nil
+	e := pn.getEval()
+	defer pn.putEval(e)
+	return e.expectedRanks(ctx)
 }
 
-// QueryExpectedRank returns the consensus expected rank (absent → |pw|+1)
-// per tuple. Identical to ExpectedRank.
+// QueryExpectedRank returns the consensus expected rank (the Li/Deshpande
+// convention: absent tuples take rank |pw|+1): E-Rank plus the absence mass
+// 1 − marginal, the exact gap between the two conventions on every world.
 func (pn *PreparedNetwork) QueryExpectedRank(ctx context.Context) ([]float64, error) {
-	if err := pdb.CtxErr(ctx); err != nil {
+	out, err := pn.QueryERank(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return pn.ExpectedRank(), nil
+	for v := range out {
+		out[v] += 1 - pn.marg[v]
+	}
+	return out, nil
 }
 
 // QueryMedianRank returns the consensus median rank per tuple over the
@@ -111,6 +124,28 @@ func stepOmega(h int) func(t pdb.Tuple, rank int) float64 {
 	}
 }
 
+// foldOmega folds a rank-distribution matrix with a weight function,
+// out[v] = Σ_j ω(t_v, j)·Pr(r(t_v) = j), skipping zero entries: the one
+// ω-fold of both matrix-backed views. scores and probs give each tuple's
+// score and presence marginal by variable index. One cancellation check per
+// tuple row: the inner fold is Θ(n) calls into a user-supplied ω, so a
+// stuck deadline surfaces after at most one row. A nil ctx never cancels.
+func foldOmega(ctx context.Context, rd *pdb.RankDistribution, scores, probs []float64, omega func(t pdb.Tuple, rank int) float64) ([]float64, error) {
+	out := make([]float64, len(rd.Dist))
+	for v, row := range rd.Dist {
+		if err := pdb.CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		tu := pdb.Tuple{ID: pdb.TupleID(v), Score: scores[v], Prob: probs[v]}
+		for j, p := range row {
+			if p != 0 {
+				out[v] += omega(tu, j+1) * p
+			}
+		}
+	}
+	return out, nil
+}
+
 // ---------------------------------------------------------------------------
 // PreparedChain: the Section 9.3 Markov-chain special case.
 // ---------------------------------------------------------------------------
@@ -126,23 +161,11 @@ func (pc *PreparedChain) QueryPRF(ctx context.Context, omega func(t pdb.Tuple, r
 	if err := pdb.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	rd := pc.RankDistribution()
-	out := make([]float64, pc.Len())
-	for v := range out {
-		// One cancellation check per tuple row: the inner fold is Θ(n)
-		// calls into user-supplied ω, so a stuck deadline surfaces after
-		// at most one row, matching the engine's grid-point granularity.
-		if err := pdb.CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		tu := pdb.Tuple{ID: pdb.TupleID(v), Score: pc.c.scores[v], Prob: pc.m[v][1]}
-		for j, p := range rd.Dist[v] {
-			if p != 0 {
-				out[v] += omega(tu, j+1) * p
-			}
-		}
+	probs := make([]float64, pc.Len())
+	for v := range probs {
+		probs[v] = pc.m[v][1]
 	}
-	return out, nil
+	return foldOmega(ctx, pc.RankDistribution(), pc.c.scores, probs, omega)
 }
 
 // QueryPRFOmega evaluates the PRFω(h) family, h = len(w), with the
@@ -200,39 +223,47 @@ func (pc *PreparedChain) prefixFold(ctx context.Context, w []float64) ([]float64
 	return out, nil
 }
 
-// QueryERank returns E[r(t)] per tuple with the Section 3.3 decomposition:
-// er1 folds the cached rank distribution, er2 runs one all-others-marked
-// partial-sum DP per tuple (the same convention as the junction-tree
-// ExpectedRanks: absent tuples take rank |pw|). The vector is deterministic
-// on an immutable view, so it is computed once and cached; callers get a
-// private copy.
+// QueryERank returns E[r(t)] per tuple (absent tuples take rank |pw|) as
+// E|pw| − Σ_{s ranked after t} Pr(Y_s = 1 ∧ Y_t = 1). A two-state walk
+// forward from each variable v carries (Pr(Y_v = 1 ∧ Y_u = 0),
+// Pr(Y_v = 1 ∧ Y_u = 1)) through the transition tables, so every pair joint
+// costs O(1): O(n²) time and O(n) memory in all, one ctx check per walk,
+// and no rank-distribution matrix.
 func (pc *PreparedChain) QueryERank(ctx context.Context) ([]float64, error) {
-	if err := pdb.CtxErr(ctx); err != nil {
-		return nil, err
+	n := pc.Len()
+	pos := make([]int, n)
+	var c float64 // E|pw| = Σ marginals
+	for i, v := range pc.order {
+		pos[v] = i
+		c += pc.m[v][1]
 	}
-	pc.erMu.Lock()
-	cached := pc.er
-	pc.erMu.Unlock()
-	if cached == nil {
-		computed, err := pc.computeERank(ctx)
-		if err != nil {
-			return nil, err // canceled mid-compute: nothing cached
+	out := make([]float64, n) // −Σ_{s ranked after v} Pr(Y_s = 1 ∧ Y_v = 1) until the end
+	for v := 0; v < n; v++ {
+		if err := pdb.CtxErr(ctx); err != nil {
+			return nil, err
 		}
-		pc.erMu.Lock()
-		if pc.er == nil {
-			pc.er = computed
+		a0, a1 := 0.0, pc.m[v][1]
+		for u := v + 1; u < n; u++ {
+			t := &pc.cond[u-1]
+			a0, a1 = a0*t[0][0]+a1*t[1][0], a0*t[0][1]+a1*t[1][1]
+			// The pair's joint counts against whichever of the two ranks
+			// higher: the other is ranked after it.
+			if pos[u] > pos[v] {
+				out[v] -= a1
+			} else {
+				out[u] -= a1
+			}
 		}
-		cached = pc.er
-		pc.erMu.Unlock()
 	}
-	out := make([]float64, len(cached))
-	copy(out, cached)
+	for v := range out {
+		out[v] += c
+	}
 	return out, nil
 }
 
 // QueryExpectedRank returns the consensus expected rank (absent → |pw|+1)
-// per tuple: the cached Cormode-convention vector plus the absence mass
-// 1 − Pr(Y_t = 1), the exact gap between the two conventions.
+// per tuple: the E-Rank vector plus the absence mass 1 − Pr(Y_t = 1), the
+// exact gap between the two conventions.
 func (pc *PreparedChain) QueryExpectedRank(ctx context.Context) ([]float64, error) {
 	out, err := pc.QueryERank(ctx)
 	if err != nil {
@@ -251,38 +282,4 @@ func (pc *PreparedChain) QueryMedianRank(ctx context.Context) ([]float64, error)
 		return nil, err
 	}
 	return pdb.MedianRankFromDistribution(pc.RankDistribution(), pc.Len()), nil
-}
-
-func (pc *PreparedChain) computeERank(ctx context.Context) ([]float64, error) {
-	rd := pc.RankDistribution()
-	n := pc.Len()
-	var c float64 // E[|pw|] = Σ marginals
-	for v := 0; v < n; v++ {
-		c += pc.m[v][1]
-	}
-	out := make([]float64, n)
-	sums := make([]float64, n)
-	rows := newSumRows(n)
-	others := make([]bool, n)
-	for u := range others {
-		others[u] = true
-	}
-	for v := 0; v < n; v++ {
-		if err := pdb.CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		var er1 float64
-		for j, p := range rd.Dist[v] {
-			er1 += float64(j+1) * p
-		}
-		others[v] = false
-		pc.partialSums(v, others, sums, rows)
-		others[v] = true
-		var withT float64 // E[|pw|·δ(t∈pw)]
-		for p, q := range sums {
-			withT += float64(p+1) * q
-		}
-		out[v] = er1 + (c - withT)
-	}
-	return out, nil
 }

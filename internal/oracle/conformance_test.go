@@ -254,6 +254,56 @@ func TestConformanceChain(t *testing.T) {
 	}
 }
 
+// ladderNetwork is a Markov network on a 2×m grid: variables v and m+v
+// form rung v, with pairwise factors along both rails and across every
+// rung; zeroes of them forbid one joint state.
+func ladderNetwork(t *testing.T, r *rand.Rand, m, zeroes int) *junction.Network {
+	t.Helper()
+	var edges [][2]int
+	for v := 0; v < m; v++ {
+		edges = append(edges, [2]int{v, m + v})
+		if v+1 < m {
+			edges = append(edges, [2]int{v, v + 1}, [2]int{m + v, m + v + 1})
+		}
+	}
+	return pairwiseNetwork(t, r, 2*m, edges, zeroes)
+}
+
+// networkInstances are Markov networks no chain converts to: rings with a
+// chord and ladders, all of treewidth at least 2.
+func networkInstances(t *testing.T) map[string]*junction.Network {
+	t.Helper()
+	out := map[string]*junction.Network{}
+	for _, n := range []int{4, 7, 12} {
+		out[fmt.Sprintf("ring-%d", n)] = ringNetwork(t, rand.New(rand.NewSource(int64(8800+n))), n)
+	}
+	for _, m := range []int{2, 4, 6} {
+		r := rand.New(rand.NewSource(int64(8900 + m)))
+		out[fmt.Sprintf("ladder-2x%d", m)] = ladderNetwork(t, r, m, 0)
+		out[fmt.Sprintf("ladder-2x%d-hard", m)] = ladderNetwork(t, r, m, m)
+	}
+	return out
+}
+
+func TestConformanceNetwork(t *testing.T) {
+	for name, net := range networkInstances(t) {
+		t.Run(name, func(t *testing.T) {
+			pn, err := junction.PrepareNetwork(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tw := pn.JTree().Treewidth(); tw < 2 {
+				t.Fatalf("treewidth %d, want ≥ 2", tw)
+			}
+			o, err := FromNetwork(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			certifyAll(t, "junction.PreparedNetwork", o, pn)
+		})
+	}
+}
+
 // TestOracleMetamorphic pins the oracle to itself through identities every
 // semantics must satisfy — the metamorphic layer that catches a wrong
 // oracle before it certifies wrong backends.

@@ -190,17 +190,9 @@ func TestPRFeSurfacePinnedNetwork(t *testing.T) {
 	}
 	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
-			worlds, err := net.EnumerateWorlds()
+			o, err := FromNetwork(net)
 			if err != nil {
 				t.Fatal(err)
-			}
-			scores := make([]float64, net.Len())
-			for v := range scores {
-				scores[v] = net.Score(v)
-			}
-			o := New(scores)
-			for _, w := range worlds {
-				o.AddWorld(w.Present, w.Prob)
 			}
 			pn, err := junction.PrepareNetwork(net)
 			if err != nil {
@@ -215,6 +207,22 @@ func TestPRFeSurfacePinnedNetwork(t *testing.T) {
 // pairwise factors around a ring and one chord, scores with ties.
 func ringNetwork(t *testing.T, r *rand.Rand, n int) *junction.Network {
 	t.Helper()
+	var edges [][2]int
+	for v := 0; v+1 < n; v++ {
+		edges = append(edges, [2]int{v, v + 1})
+	}
+	if n > 2 {
+		edges = append(edges, [2]int{0, n - 1}, [2]int{0, n / 2})
+	}
+	return pairwiseNetwork(t, r, n, edges, 0)
+}
+
+// pairwiseNetwork is a Markov network on n variables with scores drawn
+// from [0, n] (so they tie), a random unary factor on each variable and a
+// random pairwise factor per edge. The first zeroes pairwise factors each
+// forbid one joint state (a hard constraint).
+func pairwiseNetwork(t *testing.T, r *rand.Rand, n int, edges [][2]int, zeroes int) *junction.Network {
+	t.Helper()
 	scores := make([]float64, n)
 	var factors []junction.Factor
 	for v := 0; v < n; v++ {
@@ -222,19 +230,15 @@ func ringNetwork(t *testing.T, r *rand.Rand, n int) *junction.Network {
 		p := 0.05 + 0.9*r.Float64()
 		factors = append(factors, junction.Factor{Vars: []int{v}, Table: []float64{1 - p, p}})
 	}
-	pair := func(a, b int) {
+	for i, e := range edges {
 		tbl := make([]float64, 4)
-		for i := range tbl {
-			tbl[i] = 0.1 + r.Float64()
+		for j := range tbl {
+			tbl[j] = 0.1 + r.Float64()
 		}
-		factors = append(factors, junction.Factor{Vars: []int{min(a, b), max(a, b)}, Table: tbl})
-	}
-	for v := 0; v+1 < n; v++ {
-		pair(v, v+1)
-	}
-	if n > 2 {
-		pair(0, n-1)
-		pair(0, n/2)
+		if i < zeroes {
+			tbl[r.Intn(4)] = 0
+		}
+		factors = append(factors, junction.Factor{Vars: []int{min(e[0], e[1]), max(e[0], e[1])}, Table: tbl})
 	}
 	net, err := junction.NewNetwork(scores, factors)
 	if err != nil {

@@ -177,3 +177,71 @@ func FuzzOracleChain(f *testing.F) {
 		})
 	})
 }
+
+func FuzzOracleNetwork(f *testing.F) {
+	f.Add([]byte{0, 0x03, 0x80, 0x40, 0x90, 0x10, 0xff, 0x07, 0x40, 0x80, 0x00, 0x60, 0x20, 0x03, 0xc0, 0x10, 0x20, 0x30, 0x40})
+	f.Add([]byte{1, 0x01, 0x80, 0xff, 0x00, 0x00, 0xff, 0x01, 0x40, 0x80, 0x80, 0x80, 0x80, 0x02, 0x80, 0x10, 0xf0, 0x10, 0xf0, 0x02, 0xff, 0x40, 0x40, 0x40, 0x40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Layout: a shape byte (even: ring, odd: ladder), then one 6-byte
+		// block per variable — score, unary probability and a 2×2 pairwise
+		// table. Edge e takes the table of block e mod n, so zero entries
+		// (hard constraints) and ties reach the junction tree.
+		if len(data) < 1 {
+			t.Skip()
+		}
+		ladder := data[0]%2 == 1
+		blocks := data[1:]
+		n := min(len(blocks)/6, fuzzMaxTuples)
+		if ladder {
+			n -= n % 2
+		}
+		if n < 2 {
+			t.Skip()
+		}
+		scores := make([]float64, n)
+		var factors []junction.Factor
+		for v := 0; v < n; v++ {
+			b := blocks[6*v:]
+			scores[v] = fuzzScore(b[0])
+			p := fuzzProb(b[1])
+			factors = append(factors, junction.Factor{Vars: []int{v}, Table: []float64{1 - p, p}})
+		}
+		pair := func(a, b int) {
+			blk := blocks[6*(len(factors)%n):]
+			factors = append(factors, junction.Factor{
+				Vars:  []int{min(a, b), max(a, b)},
+				Table: []float64{fuzzProb(blk[2]), fuzzProb(blk[3]), fuzzProb(blk[4]), fuzzProb(blk[5])},
+			})
+		}
+		if ladder {
+			m := n / 2
+			for v := 0; v < m; v++ {
+				pair(v, m+v)
+				if v+1 < m {
+					pair(v, v+1)
+					pair(m+v, m+v+1)
+				}
+			}
+		} else {
+			for v := 0; v+1 < n; v++ {
+				pair(v, v+1)
+			}
+			if n > 2 {
+				pair(0, n-1)
+			}
+		}
+		net, err := junction.NewNetwork(scores, factors)
+		if err != nil {
+			t.Skip()
+		}
+		o, err := FromNetwork(net)
+		if err != nil {
+			t.Skip() // every assignment has zero weight
+		}
+		pn, err := junction.PrepareNetwork(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fuzzCertify(t, o, map[string]engine.Ranker{"network": pn})
+	})
+}

@@ -10,11 +10,11 @@
 //
 // The enumerators cover all four correlation models: tuple-independent
 // datasets (bitmask streaming, no 2^n world allocation), and/xor trees and
-// x-relations (xor-choice enumeration via andxor.Tree.EnumerateWorlds), and
+// x-relations (xor-choice enumeration via andxor.Tree.EnumerateWorlds),
 // Markov chains (bitmask assignments priced from the calibrated pairwise
-// joints alone). Junction-tree networks are certified through chains
-// converted with Chain.Network, which exercises the full triangulate → DP
-// pipeline on the same ground truth.
+// joints alone), and Markov networks (every assignment priced as the
+// normalized product of the factor tables via Network.EnumerateWorlds, with
+// no junction tree, calibration or DP).
 package oracle
 
 import (
@@ -65,7 +65,7 @@ type Oracle struct {
 
 // New returns an empty accumulator over n = len(scores) tuples; scores are
 // indexed by TupleID. Feed it worlds with AddWorld, or use the FromDataset /
-// FromTree / FromChain enumerators.
+// FromTree / FromChain / FromNetwork enumerators.
 func New(scores []float64) *Oracle {
 	n := len(scores)
 	o := &Oracle{
@@ -177,6 +177,30 @@ func FromTree(t *andxor.Tree) (*Oracle, error) {
 	o := New(scores)
 	for _, w := range worlds {
 		o.AddWorld(w.Present, w.Prob)
+	}
+	return o, nil
+}
+
+// FromNetwork enumerates every assignment of a Markov network's presence
+// variables through Network.EnumerateWorlds, which prices each as the
+// normalized product of the factor tables — independent of the junction
+// tree, its calibration and the partial-sum DP. Tuple IDs are the variable
+// indices.
+func FromNetwork(net *junction.Network) (*Oracle, error) {
+	if net.Len() > MaxTuples {
+		return nil, fmt.Errorf("oracle: network has %d variables (max %d)", net.Len(), MaxTuples)
+	}
+	worlds, err := net.EnumerateWorlds()
+	if err != nil {
+		return nil, err
+	}
+	scores := make([]float64, net.Len())
+	for v := range scores {
+		scores[v] = net.Score(v)
+	}
+	o := New(scores)
+	for _, w := range worlds {
+		o.AddWorld(w.Present, w.Prob) // Present is in ranked order
 	}
 	return o, nil
 }
