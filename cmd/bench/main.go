@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -130,9 +131,10 @@ type BeforeAfter struct {
 
 // pairArms builds the before/after block: every arm present in both the
 // baseline's and this report's full-size and store sections, in this
-// report's order.
+// report's order. The block names the baseline by its file name alone, so
+// a report does not carry the directory it was measured in.
 func pairArms(from string, old, cur Report) *Baseline {
-	b := &Baseline{From: from}
+	b := &Baseline{From: filepath.Base(from)}
 	pair := func(section string, olds, curs []Result) {
 		before := map[string]Result{}
 		for _, r := range olds {

@@ -121,3 +121,27 @@ func TestQuickMeasureInterleavedMedian(t *testing.T) {
 		}
 	}
 }
+
+// pairArms pairs the arms both reports measured, in this report's order,
+// and names the baseline by its file name, never by the directory it was
+// read from.
+func TestPairArms(t *testing.T) {
+	res := func(name string, ms float64, allocs int64) Result {
+		return Result{Name: name, MsPerOp: ms, AllocsOp: allocs}
+	}
+	old := Report{Section: Section{Results: []Result{res("a", 4, 10), res("gone", 1, 1)}},
+		Store: &Section{Results: []Result{res("s", 9, 3)}}}
+	cur := Report{Section: Section{Results: []Result{res("new", 1, 1), res("a", 2, 5)}},
+		Store: &Section{Results: []Result{res("s", 3, 3)}}}
+	b := pairArms(filepath.Join(t.TempDir(), "reports", "BENCH_25.json"), old, cur)
+	if b.From != "BENCH_25.json" {
+		t.Fatalf("baseline from %q, want the file name BENCH_25.json", b.From)
+	}
+	want := []BeforeAfter{
+		{Name: "a", Section: "full", BeforeMs: 4, AfterMs: 2, Speedup: 2, BeforeAllocs: 10, AfterAllocs: 5},
+		{Name: "s", Section: "store", BeforeMs: 9, AfterMs: 3, Speedup: 3, BeforeAllocs: 3, AfterAllocs: 3},
+	}
+	if !slices.Equal(b.Arms, want) {
+		t.Fatalf("arms %+v, want %+v", b.Arms, want)
+	}
+}

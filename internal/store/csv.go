@@ -3,78 +3,142 @@ package store
 // The CSV scanner behind ParseIndependentCSV, ParseXRelationCSV and
 // Store.ImportCSV. It accepts exactly the encoding/csv dialect the store
 // has always read (FuzzCSVParse holds it to the encoding/csv reader byte
-// for byte, error texts included) but reads unquoted lines itself: one
-// ReadSlice per line, fields split on ',', numbers through an exact
-// decimal fast path, values appended to fixed-size column blocks. Quoting
-// is encoding/csv's business: the first line that contains a '"' hands
-// the rest of the stream, from the start of that line, to a csv.Reader.
+// for byte, error texts included) but reads unquoted lines itself. Its
+// main loop walks the read buffer's bytes once: each line of plain
+// decimals (score,prob[,label] and a newline) is parsed, checked and
+// appended to fixed-size column blocks in one forward pass, and the
+// buffer is then consumed past every line the loop took. The first line
+// it does not take outright — the header row, a quote, an exponent, an
+// empty field, a line cut by the buffer's end — goes through the
+// per-line path: one ReadSlice, fields split on ',', numbers through
+// parseNum. Quoting is encoding/csv's business: the first line that
+// contains a '"' hands the rest of the stream, from the start of that
+// line, to a csv.Reader.
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"sync"
+
+	"repro/internal/pdb"
 )
 
 const (
 	// scanBufSize is the scanner's read buffer; longer lines are
 	// reassembled, so it bounds nothing.
 	scanBufSize = 64 << 10
-	// blockShift sizes the column blocks: 1<<12 values, 32 KiB each.
+	// blockShift sizes the column blocks: 1<<12 rows, 64 KiB each.
 	blockShift = 12
 	blockLen   = 1 << blockShift
 )
 
-// floatBlocks is a column of float64s stored in fixed-size blocks, so
-// appending never copies the values already stored.
-type floatBlocks struct {
-	blocks [][]float64
-	n      int
+// The two columns of a block.
+const (
+	colScore = iota
+	colProb
+)
+
+// block holds blockLen rows: the scores, then the probabilities.
+type block [2][blockLen]float64
+
+// blockPool recycles column blocks from one scan to the next, so a
+// steady stream of imports reuses the same few megabytes instead of
+// leaving them behind as garbage. A pool, not a free list: the
+// collector may empty it, so idle blocks never pin the live heap.
+var blockPool = sync.Pool{New: func() any { return new(block) }}
+
+// newBlock checks a block out of blockPool; release puts it back.
+func newBlock() *block { return blockPool.Get().(*block) }
+
+// columns is one scanned score,probability[,group] CSV, rows in input
+// order, stored in fixed-size blocks so appending never copies the rows
+// already stored.
+type columns struct {
+	blocks     []*block
+	n          int      // rows stored
+	labels     []string // group labels, kept only when keepLabels is set
+	keepLabels bool
+	grouped    bool  // some row carried a non-empty group
+	records    int   // records read, the header row included
+	invalid    error // the first row pdb.CheckTuple rejects, tuple i being ID i
 }
 
-func (b *floatBlocks) add(v float64) {
-	if b.n&(blockLen-1) == 0 {
-		b.blocks = append(b.blocks, make([]float64, blockLen))
+// add appends one row, checking it against pdb's tuple rules.
+func (c *columns) add(score, prob float64, group []byte) {
+	if c.invalid == nil {
+		c.invalid = pdb.CheckTuple(pdb.TupleID(c.n), score, prob)
 	}
-	b.blocks[b.n>>blockShift][b.n&(blockLen-1)] = v
-	b.n++
+	if c.n&(blockLen-1) == 0 {
+		c.blocks = append(c.blocks, newBlock())
+	}
+	b := c.blocks[c.n>>blockShift]
+	b[colScore][c.n&(blockLen-1)], b[colProb][c.n&(blockLen-1)] = score, prob
+	c.n++
+	if len(group) > 0 {
+		c.grouped = true
+	}
+	if c.keepLabels {
+		c.labels = append(c.labels, string(group))
+	}
 }
 
-// at returns value i.
-func (b *floatBlocks) at(i int) float64 { return b.blocks[i>>blockShift][i&(blockLen-1)] }
+// at returns column col of row i.
+func (c *columns) at(col, i int) float64 { return c.blocks[i>>blockShift][col][i&(blockLen-1)] }
 
-// flat returns the column as one slice.
-func (b *floatBlocks) flat() []float64 {
-	out := make([]float64, 0, b.n)
-	for _, blk := range b.blocks {
-		out = append(out, blk[:min(blockLen, b.n-len(out))]...)
+// score returns the score of row i.
+func (c *columns) score(i int) float64 { return c.at(colScore, i) }
+
+// putOrdered encodes column col of rows order[:len(b)/8] into b as
+// little-endian float64 bit patterns, the segment's encoding.
+func (c *columns) putOrdered(b []byte, col int, order []uint32) {
+	for j, i := range order[:len(b)/8] {
+		binary.LittleEndian.PutUint64(b[8*j:], math.Float64bits(c.at(col, int(i))))
+	}
+}
+
+// flat returns column col as one slice.
+func (c *columns) flat(col int) []float64 {
+	out := make([]float64, 0, c.n)
+	for _, b := range c.blocks {
+		out = append(out, b[col][:min(blockLen, c.n-len(out))]...)
 	}
 	return out
 }
 
-// columns is one scanned score,probability[,group] CSV, rows in input
-// order.
-type columns struct {
-	scores, probs floatBlocks
-	labels        []string // group labels, kept only when keepLabels is set
-	keepLabels    bool
-	grouped       bool // some row carried a non-empty group
-	records       int  // records read, the header row included
+// release returns the blocks to blockPool once the rows have been
+// copied or written out; the columns are empty after.
+func (c *columns) release() {
+	for _, b := range c.blocks {
+		blockPool.Put(b)
+	}
+	c.blocks, c.n = nil, 0
 }
 
 // scanCSV parses score,probability[,group] rows (an optional non-numeric
 // header row is skipped) and records whether any row carried a group. The
 // group labels are collected only when labels is set; the independent
-// path needs just the flag.
+// path needs just the flag. Every row is checked with pdb.CheckTuple as it
+// lands; the first failure is kept in invalid for the independent path to
+// report once the whole input has scanned.
 func scanCSV(r io.Reader, labels bool) (*columns, error) {
 	c := &columns{keepLabels: labels}
 	br := bufio.NewReaderSize(r, scanBufSize)
 	var long []byte // a line longer than the read buffer, reassembled
 	lines := 0      // physical lines read, blank ones included
 	for {
+		if c.records > 0 { // past the header decision
+			buf, _ := br.Peek(br.Buffered())
+			used, n := c.addLines(buf)
+			br.Discard(used)
+			lines += n
+		}
 		line, err := br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
 			long = append(long[:0], line...)
@@ -116,6 +180,56 @@ func scanCSV(r io.Reader, labels bool) (*columns, error) {
 			return c, nil
 		}
 	}
+}
+
+// addLines is the scanner's main loop. It adds the complete lines at the
+// head of buf that it accepts outright — plain decimals that parseNum's
+// exact path takes whole, an optional non-empty label, "\n" or "\r\n",
+// or a blank "\n" — and returns the bytes and the lines they took. It
+// stops at the first line it does not accept, which is left for the
+// per-line path: such a line may be quoted, malformed or cut by the
+// buffer's end, and only the per-line path decides (and words the
+// error). So a line either goes here whole or there whole.
+func (c *columns) addLines(buf []byte) (used, lines int) {
+	for used < len(buf) {
+		i := used
+		if buf[i] == '\n' {
+			used, lines = i+1, lines+1
+			continue
+		}
+		s, k, ok := decimal(buf[i:])
+		if i += k; !ok || i >= len(buf) || buf[i] != ',' {
+			return
+		}
+		i++
+		p, k, ok := decimal(buf[i:])
+		if i += k; !ok || i >= len(buf) {
+			return
+		}
+		var label []byte
+		if buf[i] == ',' {
+			j := i + 1
+			for j < len(buf) && buf[j] != ',' && buf[j] != '\n' && buf[j] != '\r' && buf[j] != '"' {
+				j++
+			}
+			if j == i+1 || j >= len(buf) {
+				return
+			}
+			label, i = buf[i+1:j], j
+		}
+		switch {
+		case buf[i] == '\n':
+			i++
+		case buf[i] == '\r' && i+1 < len(buf) && buf[i+1] == '\n':
+			i += 2
+		default:
+			return
+		}
+		c.records++
+		c.add(s, p, label)
+		used, lines = i, lines+1
+	}
+	return
 }
 
 // addLine adds one unquoted, non-empty line.
@@ -190,63 +304,60 @@ func addRow[T string | []byte](c *columns, score, prob, group T) error {
 	if !ok {
 		return fmt.Errorf("store: line %d: bad probability %q", c.records, prob)
 	}
-	c.scores.add(s)
-	c.probs.add(p)
-	if len(group) > 0 {
-		c.grouped = true
-	}
-	if c.keepLabels {
-		c.labels = append(c.labels, string(group))
-	}
+	c.add(s, p, []byte(group))
 	return nil
 }
 
-// pow10 holds the powers of ten that are exact float64s.
+// pow10 holds the powers of ten up to 10¹⁵, all exact float64s.
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+	1e11, 1e12, 1e13, 1e14, 1e15}
 
 // parseNum parses a field exactly as strconv.ParseFloat(field, 64) does,
-// reporting only whether it succeeded. A plain decimal — optional sign,
-// digits, at most one point — with at most 15 significant digits and at
-// most 22 fraction digits takes the exact fast path: its digits m < 10¹⁵
-// < 2⁵³ and 10^k for k ≤ 22 are both exact float64s, so the correctly
-// rounded quotient m/10^k is the correctly rounded decimal, which is
-// ParseFloat's result. Anything else (exponents, inf, nan, hex, longer
-// mantissas) goes to ParseFloat.
+// reporting only whether it succeeded: a field that decimal reads whole
+// is its value, anything else goes to ParseFloat.
 func parseNum[T string | []byte](field T) (float64, bool) {
+	if f, n, ok := decimal(field); ok && n == len(field) {
+		return f, true
+	}
+	return parseFloat(field)
+}
+
+// decimal parses the plain decimal at the head of b — optional sign,
+// digits, at most one point — and returns its value and length. It stops
+// at the first byte that cannot continue the decimal; ok is false unless
+// it read between 1 and 15 digits. Those are exact: the digits m < 10¹⁵ <
+// 2⁵³ and 10^k for k ≤ 15 are both exact float64s, so the correctly
+// rounded quotient m/10^k is the correctly rounded decimal, which is
+// strconv.ParseFloat's result. Longer decimals, and exponents, inf, nan
+// and hex, are ParseFloat's.
+func decimal[T string | []byte](b T) (f float64, n int, ok bool) {
 	i, neg := 0, false
-	if len(field) > 0 && (field[0] == '+' || field[0] == '-') {
-		neg = field[0] == '-'
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
 		i++
 	}
-	var m uint64
-	digits, sig, frac, dot := 0, 0, 0, false
-	for ; i < len(field); i++ {
-		switch c := field[i]; {
-		case c >= '0' && c <= '9':
-			digits++
-			if dot {
-				frac++
-			}
-			if m == 0 && c == '0' {
-				continue // a leading zero is not significant
-			}
-			sig++
-			m = m*10 + uint64(c-'0') // wraps only past 19 digits, which go slow
-		case c == '.' && !dot:
-			dot = true
-		default:
-			return parseFloat(field)
+	start := i
+	var m uint64 // the digits, the point dropped
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	digits, frac := i-start, 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			m = m*10 + uint64(b[i]-'0')
 		}
+		frac = i - start - digits - 1
+		digits += frac
 	}
-	if digits == 0 || sig > 15 || frac >= len(pow10) {
-		return parseFloat(field)
+	if digits == 0 || digits > 15 {
+		return 0, i, false
 	}
-	f := float64(m) / pow10[frac]
+	f = float64(m) / pow10[frac]
 	if neg {
 		f = -f
 	}
-	return f, true
+	return f, i, true
 }
 
 func parseFloat[T string | []byte](field T) (float64, bool) {

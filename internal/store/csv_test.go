@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -165,6 +166,16 @@ func FuzzCSVParse(f *testing.F) {
 		"1,0.75,a\n2,0.5,a\n",
 		"1,0.25,\"a,b\"\n2,0.5,a\n3,0.25,\"a,b\"\n",
 		"1,0.5,,x\n2,0.5,\n",
+		// the main loop's exits, each behind a run of lines it takes
+		"1,0.5\n2,0.25\n3,0.125\n\"4\",0.5\n5,0.5\n",
+		"1,0.5\n2,0.25\n1234567890123456,0.5\n3,0.5\n",
+		"1,0.5\n2,0.25\n3,0.5x\n4,0.5\n",
+		"1,0.5\n2,0.25\n3,1.5\n4,x\n",
+		"1,0.5\n2,0.25\r\n\r\n3,0.5\r\n4,0.5",
+		"1,0.5\n2,0.25\n3,0.5\r4,0.5\n5,0.5\r",
+		"1,0.5\n2,0.25\n3,\n4,0.5\n",
+		"1,0.5,a\n2,0.25,b\n3,0.5,\n4,0.5,c,d\n5,0.5,\"e\"\n",
+		"1,0.5\n2,0.25\n3e0,.5\n-4.,+0.5\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -172,6 +183,113 @@ func FuzzCSVParse(f *testing.F) {
 		checkAgainstReference(t, KindIndependent, data)
 		checkAgainstReference(t, KindXRelation, data)
 	})
+}
+
+// chunkReader hands data out at most size bytes per Read, so a
+// bufio.Reader in front of it holds a partial line after almost every
+// fill.
+type chunkReader struct {
+	data []byte
+	size int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.size)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// fillerCSV returns a header and then lines the scanner's main loop takes
+// whole — "i,0.5\n", or "i,0.5,gi\n" with labels — exactly size bytes in
+// all.
+func fillerCSV(size int, labels bool) []byte {
+	b := []byte("score,prob\n")
+	line := func(i int, pad int) []byte {
+		l := append(bytes.Repeat([]byte("0"), pad), strconv.Itoa(i)+",0.5"...)
+		if labels {
+			l = append(l, ",g"+strconv.Itoa(i)...)
+		}
+		return append(l, '\n')
+	}
+	for i := 1; ; i++ {
+		l := line(i, 0)
+		if rest := size - len(b); rest < 2*len(l) {
+			return append(b, line(i, rest-len(l))...) // pads with leading zeros
+		}
+		b = append(b, l...)
+	}
+}
+
+// sameScan reports whether two scans read the same rows, bit for bit,
+// and the same labels, flags and counts.
+func sameScan(a, b *columns) bool {
+	if a.n != b.n || a.grouped != b.grouped || a.records != b.records ||
+		fmt.Sprint(a.invalid) != fmt.Sprint(b.invalid) || !slices.Equal(a.labels, b.labels) {
+		return false
+	}
+	for col := range 2 {
+		bv := b.flat(col)
+		for i, v := range a.flat(col) {
+			if math.Float64bits(v) != math.Float64bits(bv[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestScanBufferBoundaries puts every way out of the scanner's main loop
+// at, just before and just after the end of the first read buffer, behind
+// a run of lines the loop takes, and holds each input to the reference
+// reader: independent lines as kind ind, labelled ones as kind xrel. The
+// same input arriving 97 bytes per read, which leaves a cut line at the
+// end of nearly every buffer, must scan the same.
+func TestScanBufferBoundaries(t *testing.T) {
+	long := strings.Repeat("0", scanBufSize+10) + "7,0.5\n"
+	exits := []struct{ name, line string }{
+		{"quoted score", "\"7\",0.5\n"},
+		{"quoted prob", "7,\"0.5\"\n"},
+		{"16-digit mantissa", "1234567890123456,0.5\n"},
+		{"bad field", "7,0.5x\n"},
+		{"invalid prob", "7,1.5\n"},
+		{"crlf", "7,0.5\r\n"},
+		{"bare cr", "7,0.5\r8,0.5\n"},
+		{"empty field", "7,\n"},
+		{"extra column", "7,0.5,a,b\n"},
+		{"exponent", "7e0,0.5\n"},
+		{"blank line", "\n\n"},
+		{"final line without newline", "7,0.5"},
+		{"line longer than the buffer", long},
+	}
+	tail := "9,0.25\n10,0.125\n"
+	for _, labels := range []bool{false, true} {
+		kind := KindIndependent
+		if labels {
+			kind = KindXRelation
+		}
+		for _, ex := range exits {
+			for d := -len(ex.line) - 1; d <= 2; d++ {
+				if ex.line == long && d < -3 {
+					continue // the line holds the boundary throughout
+				}
+				data := append(fillerCSV(scanBufSize+d, labels), ex.line...)
+				if strings.HasSuffix(ex.line, "\n") {
+					data = append(data, tail...)
+				}
+				t.Run(fmt.Sprintf("%s/%s/at%+d", kind, ex.name, d), func(t *testing.T) {
+					checkAgainstReference(t, kind, data)
+					want, wantErr := scanCSV(bytes.NewReader(data), labels)
+					got, gotErr := scanCSV(&chunkReader{data, 97}, labels)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotErr == nil && !sameScan(got, want) {
+						t.Fatalf("in 97-byte reads: %v, whole: %v", gotErr, wantErr)
+					}
+				})
+			}
+		}
+	}
 }
 
 // The fast decimal path must give ParseFloat's bits for every plain
@@ -347,19 +465,42 @@ func TestImportCSVInputErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkImportCSV imports a 10⁵-row independent CSV shaped like a
-// served table (three-decimal scores, four-decimal probabilities); B/op is
-// the garbage one admin import leaves.
-func BenchmarkImportCSV(b *testing.B) {
+// Importing an independent CSV allocates per column block and per
+// import, never per row: a 10⁵-row import stays within the block count
+// plus a constant.
+func TestImportCSVAllocs(t *testing.T) {
+	const n = 100_000
+	body := benchCSV(n)
+	s := tempStore(t)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := s.ImportCSV("d", KindIndependent, bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(n/blockLen + 100); allocs > limit {
+		t.Fatalf("ImportCSV of %d rows: %.0f allocations, want at most %.0f", n, allocs, limit)
+	}
+}
+
+// benchCSV returns an n-row independent CSV shaped like a served table:
+// a header, three-decimal scores, four-decimal probabilities.
+func benchCSV(n int) []byte {
 	rng := rand.New(rand.NewSource(1))
-	var buf []byte
-	buf = append(buf, "score,prob\n"...)
-	for i := 0; i < 100_000; i++ {
+	buf := []byte("score,prob\n")
+	for i := 0; i < n; i++ {
 		buf = strconv.AppendFloat(buf, rng.ExpFloat64()*30, 'f', 3, 64)
 		buf = append(buf, ',')
 		buf = strconv.AppendFloat(buf, 0.01+0.98*rng.Float64(), 'f', 4, 64)
 		buf = append(buf, '\n')
 	}
+	return buf
+}
+
+// BenchmarkImportCSV imports a 10⁵-row independent CSV shaped like a
+// served table (three-decimal scores, four-decimal probabilities); B/op is
+// the garbage one admin import leaves.
+func BenchmarkImportCSV(b *testing.B) {
+	buf := benchCSV(100_000)
 	s, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)

@@ -189,8 +189,9 @@ func Parse(kind string, r io.Reader) (*Dataset, error) {
 // scanIndependent scans a score,probability CSV and checks it the way
 // ParseIndependentCSV always has, in the same order: scan errors, the
 // group-column guard, emptiness, then the tuple rules in input order
-// (pdb's texts, tuple i being ID i). It returns the columns with their
-// canonical order: order[j] is the input position at prepared position j.
+// (pdb's texts, tuple i being ID i; the scan checks each row as it lands).
+// It returns the columns with their canonical order: order[j] is the input
+// position at prepared position j. The caller releases the columns.
 func scanIndependent(r io.Reader) (*columns, []uint32, error) {
 	c, err := scanCSV(r, false)
 	if err != nil {
@@ -199,16 +200,13 @@ func scanIndependent(r io.Reader) (*columns, []uint32, error) {
 	if c.grouped {
 		return nil, nil, errors.New("store: independent CSV has a group column; load it as an x-relation (kind xrel)")
 	}
-	n := c.scores.n
-	if n == 0 {
+	if c.n == 0 {
 		return nil, nil, errors.New("store: empty dataset")
 	}
-	for i := 0; i < n; i++ {
-		if err := pdb.CheckTuple(pdb.TupleID(i), c.scores.at(i), c.probs.at(i)); err != nil {
-			return nil, nil, err
-		}
+	if c.invalid != nil {
+		return nil, nil, c.invalid
 	}
-	order, err := core.CanonicalOrder(n, c.scores.at)
+	order, err := core.CanonicalOrder(c.n, c.score)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -220,11 +218,10 @@ func scanIndependent(r io.Reader) (*columns, []uint32, error) {
 // order — the bytes Encode writes for the Dataset ParseIndependentCSV
 // would build, without building it.
 func (c *columns) independentSections(order []uint32) func(*sectionWriter) {
-	n := len(order)
 	return func(w *sectionWriter) {
-		w.u32s(secIDs, n, func(j int) uint32 { return order[j] })
-		w.f64s(secScores, n, func(j int) float64 { return c.scores.at(int(order[j])) })
-		w.f64s(secProbs, n, func(j int) float64 { return c.probs.at(int(order[j])) })
+		w.u32s(secIDs, len(order), func(j int) uint32 { return order[j] })
+		w.fixed(secScores, 8, len(order), func(b []byte, lo int) { c.putOrdered(b, colScore, order[lo:]) })
+		w.fixed(secProbs, 8, len(order), func(b []byte, lo int) { c.putOrdered(b, colProb, order[lo:]) })
 	}
 }
 
@@ -238,11 +235,12 @@ func ParseIndependentCSV(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer c.release()
 	n := len(order)
 	ds := &Dataset{Kind: KindIndependent,
 		IDs: make([]pdb.TupleID, n), Scores: make([]float64, n), Probs: make([]float64, n)}
 	for j, id := range order {
-		ds.IDs[j], ds.Scores[j], ds.Probs[j] = pdb.TupleID(id), c.scores.at(int(id)), c.probs.at(int(id))
+		ds.IDs[j], ds.Scores[j], ds.Probs[j] = pdb.TupleID(id), c.at(colScore, int(id)), c.at(colProb, int(id))
 	}
 	return ds, nil
 }
@@ -257,10 +255,12 @@ func ParseXRelationCSV(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.scores.n == 0 {
+	scores, probs := c.flat(colScore), c.flat(colProb)
+	c.release()
+	if len(scores) == 0 {
 		return nil, errors.New("store: empty dataset")
 	}
-	gs, _ := andxor.GroupRows(c.scores.flat(), c.probs.flat(), c.labels)
+	gs, _ := andxor.GroupRows(scores, probs, c.labels)
 	if _, err := andxor.XTuples(gs); err != nil {
 		return nil, err
 	}

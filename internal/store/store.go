@@ -147,12 +147,14 @@ func (e *InputError) Unwrap() error { return e.Err }
 // ImportCSV parses a dataset body of the given kind (CSV for ind and
 // xrel, JSON for tree and chain) and imports it under name, exactly as
 // Parse followed by Import would: the same segment bytes, the same error
-// texts. An independent-tuple CSV goes straight from text to segment in
-// one streaming pass: the scanner keeps the columns in fixed-size blocks,
-// core.CanonicalOrder sorts them by permutation, and the sections stream
-// from the blocks in that order, so no sorted copy of the dataset is ever
-// built. The other kinds parse into a Dataset and Import it. Failures of
-// the body come back as *InputError; the rest are the store's.
+// texts. An independent-tuple CSV goes straight from text to segment: the
+// scanner parses and checks nearly every row in one forward pass over its
+// read buffer into pooled fixed-size column blocks, core.CanonicalOrder
+// sorts them by permutation, and the sections are encoded from the blocks
+// in that order, so no sorted copy of the dataset is ever built and the
+// blocks go back to the pool for the next import. The other kinds parse
+// into a Dataset and Import it. Failures of the body come back as
+// *InputError; the rest are the store's.
 func (s *Store) ImportCSV(name, kind string, r io.Reader) (Info, error) {
 	if err := CheckName(name); err != nil {
 		return Info{}, err
@@ -168,6 +170,7 @@ func (s *Store) ImportCSV(name, kind string, r io.Reader) (Info, error) {
 	if err != nil {
 		return Info{}, &InputError{Err: err}
 	}
+	defer c.release()
 	return s.put(name, KindIndependent, len(order), s.nextGeneration(name), c.independentSections(order))
 }
 
