@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -30,50 +31,120 @@ func orderScores(rng *rand.Rand, n int) []float64 {
 	return scores
 }
 
-// CanonicalOrder must be exactly the comparator sort it replaced: the
-// stable (score desc, ID asc) order with −0 tying +0.
+// canonicalOrder sorts scores on key's radix keys through scratch,
+// checking the scores it returns alongside the order.
+func canonicalOrder(o *OrderScratch, scores []float64, key func(float64) uint64) ([]uint32, error) {
+	keys := o.Keys(len(scores))
+	for i, s := range scores {
+		keys[i] = key(s)
+	}
+	order, sorted, err := o.CanonicalOrder(func(dst []float64, ids []uint32) {
+		for j, id := range ids {
+			dst[j] = scores[id]
+		}
+	})
+	for j, id := range order {
+		if math.Float64bits(sorted[j]) != math.Float64bits(scores[id]) {
+			return nil, fmt.Errorf("position %d: score %v, tuple %d has %v", j, sorted[j], id, scores[id])
+		}
+	}
+	return order, err
+}
+
+// comparatorOrder is the stable (score desc, ID asc) order CanonicalOrder
+// replaced, by comparator sort.
+func comparatorOrder(scores []float64) []pdb.TupleID {
+	want := make([]pdb.TupleID, len(scores))
+	for i := range want {
+		want[i] = pdb.TupleID(i)
+	}
+	slices.SortFunc(want, func(a, b pdb.TupleID) int { return canonicalCmp(scores[a], a, scores[b], b) })
+	return want
+}
+
+// CanonicalOrder must be exactly the comparator sort it replaced, the
+// stable (score desc, ID asc) order with −0 tying +0: on ScoreKey's float
+// keys, and on narrow integer keys of every width, whose digits split
+// into fewer passes. One scratch serves every sort, growing and shrinking.
 func TestCanonicalOrderMatchesComparatorSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	for _, n := range []int{1, 2, 3, 17, 256, 1000, 5000} {
-		scores := orderScores(rng, n)
-		got, err := CanonicalOrder(n, func(i int) float64 { return scores[i] })
+	var o OrderScratch
+	check := func(what string, scores []float64, key func(float64) uint64) {
+		t.Helper()
+		got, err := canonicalOrder(&o, scores, key)
 		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+			t.Fatalf("%s, n=%d: %v", what, len(scores), err)
 		}
-		want := make([]pdb.TupleID, n)
-		for i := range want {
-			want[i] = pdb.TupleID(i)
-		}
-		slices.SortFunc(want, func(a, b pdb.TupleID) int { return canonicalCmp(scores[a], a, scores[b], b) })
-		for j := range want {
-			if pdb.TupleID(got[j]) != want[j] {
-				t.Fatalf("n=%d: position %d holds %d, comparator sort has %d", n, j, got[j], want[j])
+		for j, id := range comparatorOrder(scores) {
+			if pdb.TupleID(got[j]) != id {
+				t.Fatalf("%s, n=%d: position %d holds %d, comparator sort has %d", what, len(scores), j, got[j], id)
 			}
 		}
 	}
-	if order, err := CanonicalOrder(0, nil); err != nil || len(order) != 0 {
-		t.Fatalf("empty input: %v, %v", order, err)
+	for _, n := range []int{1, 2, 3, 17, 256, 1000, 5000} {
+		check("float keys", orderScores(rng, n), ScoreKey)
 	}
-	if _, err := CanonicalOrder(2, func(i int) float64 { return [2]float64{1, math.NaN()}[i] }); err != ErrNotSorted {
+	for _, width := range []int{1, 2, 11, 12, 23, 33, 34, 45, 52} {
+		// Integer scores below 2^52 are exact, so top − s is an exact key
+		// of at most width bits.
+		top := float64(uint64(1)<<width - 1)
+		for _, n := range []int{2, 300, 5000} {
+			scores := make([]float64, n)
+			for i := range scores {
+				scores[i] = float64(rng.Int63n(int64(top) + 1))
+				if rng.Intn(3) == 0 {
+					scores[i] = scores[rng.Intn(i+1)] // ties
+				}
+			}
+			check(fmt.Sprintf("%d-bit keys", width), scores, func(s float64) uint64 { return uint64(top - s) })
+		}
+	}
+	var empty OrderScratch
+	empty.Keys(0)
+	if order, scores, err := empty.CanonicalOrder(nil); err != nil || len(order) != 0 || len(scores) != 0 {
+		t.Fatalf("empty input: %v, %v, %v", order, scores, err)
+	}
+	if _, err := canonicalOrder(&o, []float64{1, math.NaN()}, ScoreKey); err != ErrNotSorted {
 		t.Fatalf("NaN score: %v, want ErrNotSorted", err)
 	}
 }
 
-// Equal keys make a radix pass the identity; a relation whose scores all
-// tie must come out in input order.
-func TestCanonicalOrderAllTied(t *testing.T) {
-	order, err := CanonicalOrder(300, func(i int) float64 {
-		if i%2 == 0 {
-			return math.Copysign(0, -1)
+// Keys that do not order like the scores must fail the check, never
+// come back as an order: here they ascend with the score, and then they
+// tie two different scores.
+func TestCanonicalOrderRejectsWrongKeys(t *testing.T) {
+	var o OrderScratch
+	scores := []float64{1, 3, 2}
+	for _, key := range []func(float64) uint64{
+		func(s float64) uint64 { return uint64(s) },
+		func(s float64) uint64 { return uint64(4-s) / 2 },
+	} {
+		if order, err := canonicalOrder(&o, scores, key); err != ErrNotSorted {
+			t.Fatalf("order %v, %v; want ErrNotSorted", order, err)
 		}
-		return 0
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	for j, id := range order {
-		if int(id) != j {
-			t.Fatalf("position %d holds %d", j, id)
+}
+
+// Equal keys make a radix pass the identity, and all-zero keys make no
+// pass at all; a relation whose scores all tie must come out in input
+// order.
+func TestCanonicalOrderAllTied(t *testing.T) {
+	scores := make([]float64, 300)
+	for i := range scores {
+		if i%2 == 0 {
+			scores[i] = math.Copysign(0, -1)
+		}
+	}
+	var o OrderScratch
+	for _, key := range []func(float64) uint64{ScoreKey, func(float64) uint64 { return 0 }} {
+		order, err := canonicalOrder(&o, scores, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, id := range order {
+			if int(id) != j {
+				t.Fatalf("position %d holds %d", j, id)
+			}
 		}
 	}
 }
@@ -96,10 +167,7 @@ func TestMedianRankAtOneHalf(t *testing.T) {
 				probs[i] = 0.5
 			}
 		}
-		v, err := PrepareArrays(scores, probs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := Prepare(pdb.MustDataset(scores, probs))
 		med := v.MedianRank()
 		possible := 0
 		for i := 0; i < n; i++ {
@@ -119,18 +187,31 @@ func TestMedianRankAtOneHalf(t *testing.T) {
 	}
 }
 
-// BenchmarkCanonicalOrder orders 10⁵ three-decimal exponential scores, the
-// shape of a served table (many ties).
+// BenchmarkCanonicalOrder orders 10⁵ three-decimal exponential scores,
+// the shape of a served table (many ties), on ScoreKey's float keys and on
+// the scaled-decimal keys an import of the same values uses.
 func BenchmarkCanonicalOrder(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	scores := make([]float64, 100_000)
 	for i := range scores {
 		scores[i] = math.Round(rng.ExpFloat64()*30_000) / 1e3
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := CanonicalOrder(len(scores), func(i int) float64 { return scores[i] }); err != nil {
-			b.Fatal(err)
-		}
+	top := slices.Max(scores)
+	for _, arm := range []struct {
+		name string
+		key  func(float64) uint64
+	}{
+		{"float", ScoreKey},
+		{"decimal", func(s float64) uint64 { return uint64(math.Round((top - s) * 1e3)) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			var o OrderScratch
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := canonicalOrder(&o, scores, arm.key); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

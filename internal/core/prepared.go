@@ -64,31 +64,6 @@ func Prepare(d *pdb.Dataset) *Prepared {
 	return v
 }
 
-// PrepareArrays builds the sorted view of parallel score/probability
-// arrays, tuple i taking ID i: the view Prepare builds from
-// pdb.NewDataset(scores, probs), validated with the same error texts, but
-// ordered straight from the arrays by CanonicalOrder's radix sort without
-// materializing the tuples. The inputs are not retained.
-func PrepareArrays(scores, probs []float64) (*Prepared, error) {
-	if err := pdb.ValidateArrays(scores, probs); err != nil {
-		return nil, err
-	}
-	order, err := CanonicalOrder(len(scores), func(i int) float64 { return scores[i] })
-	if err != nil {
-		return nil, err
-	}
-	n := len(scores)
-	v := &Prepared{
-		ids:    make([]pdb.TupleID, n),
-		scores: make([]float64, n),
-		probs:  make([]float64, n),
-	}
-	for i, id := range order {
-		v.ids[i], v.scores[i], v.probs[i] = pdb.TupleID(id), scores[id], probs[id]
-	}
-	return v, nil
-}
-
 // canonicalCmp is the prepared order, the one definition every sort and
 // every order check in this package uses: score descending, equal scores
 // (exact.Same, so -0 ties 0) by ascending ID.

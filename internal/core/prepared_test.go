@@ -334,9 +334,8 @@ func TestOneShotWrappersMatchPrepared(t *testing.T) {
 	}
 }
 
-// Preparing a sorted dataset, preparing its unsorted clone and preparing
-// the raw input arrays must all yield the same view (same order, same
-// kernel outputs).
+// Preparing a sorted dataset and preparing its unsorted clone must yield
+// the same view (same order, same kernel outputs).
 func TestPrepareSortedAndUnsortedAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	var scores, probs []float64
@@ -347,22 +346,12 @@ func TestPrepareSortedAndUnsortedAgree(t *testing.T) {
 	d := pdb.MustDataset(scores, probs)
 	sorted := d.Clone()
 	sorted.SortByScore()
-	v3, err := PrepareArrays(scores, probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := Prepare(d)
-	for _, v2 := range []*Prepared{Prepare(sorted), v3} {
-		for i := 0; i < v1.Len(); i++ {
-			if v1.ID(i) != v2.ID(i) || v1.Score(i) != v2.Score(i) || v1.Prob(i) != v2.Prob(i) {
-				t.Fatalf("position %d differs: (%v,%v,%v) vs (%v,%v,%v)", i,
-					v1.ID(i), v1.Score(i), v1.Prob(i), v2.ID(i), v2.Score(i), v2.Prob(i))
-			}
+	v1, v2 := Prepare(d), Prepare(sorted)
+	for i := 0; i < v1.Len(); i++ {
+		if v1.ID(i) != v2.ID(i) || v1.Score(i) != v2.Score(i) || v1.Prob(i) != v2.Prob(i) {
+			t.Fatalf("position %d differs: (%v,%v,%v) vs (%v,%v,%v)", i,
+				v1.ID(i), v1.Score(i), v1.Prob(i), v2.ID(i), v2.Score(i), v2.Prob(i))
 		}
-	}
-	if _, err := PrepareArrays([]float64{1, 2}, []float64{0.5, 1.5}); err == nil ||
-		err.Error() != "pdb: tuple 1 has invalid probability 1.5" {
-		t.Fatalf("PrepareArrays error %v, want NewDataset's text", err)
 	}
 }
 

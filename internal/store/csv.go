@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/pdb"
 )
 
@@ -57,6 +58,14 @@ var blockPool = sync.Pool{New: func() any { return new(block) }}
 // newBlock checks a block out of blockPool; release puts it back.
 func newBlock() *block { return blockPool.Get().(*block) }
 
+// orderPool recycles the canonical sort's scratch the same way, for the
+// same reason.
+var orderPool = sync.Pool{New: func() any { return new(core.OrderScratch) }}
+
+// newOrderScratch checks sort scratch out of orderPool; release puts it
+// back.
+func newOrderScratch() *core.OrderScratch { return orderPool.Get().(*core.OrderScratch) }
+
 // columns is one scanned score,probability[,group] CSV, rows in input
 // order, stored in fixed-size blocks so appending never copies the rows
 // already stored.
@@ -68,12 +77,33 @@ type columns struct {
 	grouped    bool  // some row carried a non-empty group
 	records    int   // records read, the header row included
 	invalid    error // the first row pdb.CheckTuple rejects, tuple i being ID i
+	// What the scores were written as: the most fraction digits of any,
+	// whether some score was not a plain decimal of at most 15 digits,
+	// and the least and greatest. They choose the sort keys (sortOrder).
+	frac    int
+	inexact bool
+	lo, hi  float64
+	// order is the sort scratch checked out of orderPool, if any.
+	order *core.OrderScratch
 }
 
-// add appends one row, checking it against pdb's tuple rules.
-func (c *columns) add(score, prob float64, group []byte) {
+// add appends one row, checking it against pdb's tuple rules. frac is
+// the score's fraction digit count as decimal read it, −1 if the score
+// was not such a decimal.
+func (c *columns) add(score, prob float64, frac int, group []byte) {
 	if c.invalid == nil {
 		c.invalid = pdb.CheckTuple(pdb.TupleID(c.n), score, prob)
+	}
+	if frac < 0 {
+		c.inexact = true
+	} else if frac > c.frac {
+		c.frac = frac
+	}
+	if score < c.lo {
+		c.lo = score
+	}
+	if score > c.hi {
+		c.hi = score
 	}
 	if c.n&(blockLen-1) == 0 {
 		c.blocks = append(c.blocks, newBlock())
@@ -92,14 +122,18 @@ func (c *columns) add(score, prob float64, group []byte) {
 // at returns column col of row i.
 func (c *columns) at(col, i int) float64 { return c.blocks[i>>blockShift][col][i&(blockLen-1)] }
 
-// score returns the score of row i.
-func (c *columns) score(i int) float64 { return c.at(colScore, i) }
-
 // putOrdered encodes column col of rows order[:len(b)/8] into b as
 // little-endian float64 bit patterns, the segment's encoding.
 func (c *columns) putOrdered(b []byte, col int, order []uint32) {
 	for j, i := range order[:len(b)/8] {
 		binary.LittleEndian.PutUint64(b[8*j:], math.Float64bits(c.at(col, int(i))))
+	}
+}
+
+// gatherScores sets dst[j] to the score of row ids[j].
+func (c *columns) gatherScores(dst []float64, ids []uint32) {
+	for j, i := range ids {
+		dst[j] = c.at(colScore, int(i))
 	}
 }
 
@@ -112,13 +146,61 @@ func (c *columns) flat(col int) []float64 {
 	return out
 }
 
-// release returns the blocks to blockPool once the rows have been
-// copied or written out; the columns are empty after.
+// release returns the blocks and the sort scratch to their pools once
+// the rows have been copied or written out; the columns are empty after.
 func (c *columns) release() {
 	for _, b := range c.blocks {
 		blockPool.Put(b)
 	}
-	c.blocks, c.n = nil, 0
+	if c.order != nil {
+		orderPool.Put(c.order)
+	}
+	c.blocks, c.n, c.order = nil, 0, nil
+}
+
+// decimalScale reports whether the scores have exact decimal sort keys,
+// and their scale. When every score was a plain decimal of at most 15
+// digits, F fraction digits at most, each is the double nearest m/10^f
+// for its digits m and fraction digits f ≤ F, so k = m·10^(F−f) is an
+// exact integer, and distinct such decimals are distinct doubles. Where
+// the product s·10^F stays below 2^51 in magnitude it is within 3/8 of k
+// (two roundings, each at most 2^−53 relative to a value below 2^51 plus
+// half a unit of 1/4), so rounding it to the nearest integer gives k
+// exactly: the keys order and tie exactly as the scores do, −0 and 0
+// both at k = 0.
+func (c *columns) decimalScale() (float64, bool) {
+	scale := pow10[c.frac]
+	return scale, !c.inexact && max(math.Abs(c.lo), math.Abs(c.hi))*scale < 1<<51
+}
+
+// decimalKey rounds s·scale, of magnitude below 2^51, to its integer k:
+// adding 1.5·2^52 lands the sum where doubles are exactly the integers,
+// and its bits are then a constant plus k, ascending with k.
+func decimalKey(s, scale float64) uint64 { return math.Float64bits(s*scale + 0x1.8p52) }
+
+// sortOrder sorts the rows into their canonical order, returning it with
+// the scores gathered into it, in scratch from orderPool that release
+// returns. The keys are the scaled decimals when decimalScale allows,
+// counted down from the greatest score's so they span only the bits the
+// scores need — 23 for three-decimal scores below 8,000, three radix
+// passes where core.ScoreKey's float keys take six — and ScoreKey's
+// otherwise.
+func (c *columns) sortOrder() (order []uint32, scores []float64, err error) {
+	c.order = newOrderScratch()
+	keys := c.order.Keys(c.n)
+	scale, exact := c.decimalScale()
+	top := decimalKey(c.hi, scale)
+	for i, b := range c.blocks {
+		out := keys[i<<blockShift:]
+		for j, s := range b[colScore][:min(blockLen, c.n-i<<blockShift)] {
+			if exact {
+				out[j] = top - decimalKey(s, scale)
+			} else {
+				out[j] = core.ScoreKey(s)
+			}
+		}
+	}
+	return c.order.CanonicalOrder(c.gatherScores)
 }
 
 // scanCSV parses score,probability[,group] rows (an optional non-numeric
@@ -128,7 +210,7 @@ func (c *columns) release() {
 // lands; the first failure is kept in invalid for the independent path to
 // report once the whole input has scanned.
 func scanCSV(r io.Reader, labels bool) (*columns, error) {
-	c := &columns{keepLabels: labels}
+	c := &columns{keepLabels: labels, lo: math.Inf(1), hi: math.Inf(-1)}
 	br := bufio.NewReaderSize(r, scanBufSize)
 	var long []byte // a line longer than the read buffer, reassembled
 	lines := 0      // physical lines read, blank ones included
@@ -197,12 +279,12 @@ func (c *columns) addLines(buf []byte) (used, lines int) {
 			used, lines = i+1, lines+1
 			continue
 		}
-		s, k, ok := decimal(buf[i:])
+		s, k, frac, ok := decimal(buf[i:])
 		if i += k; !ok || i >= len(buf) || buf[i] != ',' {
 			return
 		}
 		i++
-		p, k, ok := decimal(buf[i:])
+		p, k, _, ok := decimal(buf[i:])
 		if i += k; !ok || i >= len(buf) {
 			return
 		}
@@ -226,7 +308,7 @@ func (c *columns) addLines(buf []byte) (used, lines int) {
 			return
 		}
 		c.records++
-		c.add(s, p, label)
+		c.add(s, p, frac, label)
 		used, lines = i, lines+1
 	}
 	return
@@ -290,21 +372,21 @@ func (c *columns) readQuoted(r io.Reader, skipped int) error {
 // tuple ID).
 func addRow[T string | []byte](c *columns, score, prob, group T) error {
 	if c.records == 1 {
-		_, ok0 := parseNum(score)
-		_, ok1 := parseNum(prob)
+		_, _, ok0 := parseNum(score)
+		_, _, ok1 := parseNum(prob)
 		if !ok0 && !ok1 {
 			return nil
 		}
 	}
-	s, ok := parseNum(score)
+	s, frac, ok := parseNum(score)
 	if !ok {
 		return fmt.Errorf("store: line %d: bad score %q", c.records, score)
 	}
-	p, ok := parseNum(prob)
+	p, _, ok := parseNum(prob)
 	if !ok {
 		return fmt.Errorf("store: line %d: bad probability %q", c.records, prob)
 	}
-	c.add(s, p, []byte(group))
+	c.add(s, p, frac, []byte(group))
 	return nil
 }
 
@@ -314,23 +396,26 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 
 // parseNum parses a field exactly as strconv.ParseFloat(field, 64) does,
 // reporting only whether it succeeded: a field that decimal reads whole
-// is its value, anything else goes to ParseFloat.
-func parseNum[T string | []byte](field T) (float64, bool) {
-	if f, n, ok := decimal(field); ok && n == len(field) {
-		return f, true
+// is its value, with its fraction digit count; anything else goes to
+// ParseFloat, and frac is then −1.
+func parseNum[T string | []byte](field T) (f float64, frac int, ok bool) {
+	if f, n, frac, ok := decimal(field); ok && n == len(field) {
+		return f, frac, true
 	}
-	return parseFloat(field)
+	f, ok = parseFloat(field)
+	return f, -1, ok
 }
 
 // decimal parses the plain decimal at the head of b — optional sign,
-// digits, at most one point — and returns its value and length. It stops
+// digits, at most one point — and returns its value, its length and its
+// count of digits after the point. It stops
 // at the first byte that cannot continue the decimal; ok is false unless
 // it read between 1 and 15 digits. Those are exact: the digits m < 10¹⁵ <
 // 2⁵³ and 10^k for k ≤ 15 are both exact float64s, so the correctly
 // rounded quotient m/10^k is the correctly rounded decimal, which is
 // strconv.ParseFloat's result. Longer decimals, and exponents, inf, nan
 // and hex, are ParseFloat's.
-func decimal[T string | []byte](b T) (f float64, n int, ok bool) {
+func decimal[T string | []byte](b T) (f float64, n, frac int, ok bool) {
 	i, neg := 0, false
 	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
 		neg = b[0] == '-'
@@ -341,7 +426,7 @@ func decimal[T string | []byte](b T) (f float64, n int, ok bool) {
 	for ; i < len(b) && b[i]-'0' <= 9; i++ {
 		m = m*10 + uint64(b[i]-'0')
 	}
-	digits, frac := i-start, 0
+	digits := i - start
 	if i < len(b) && b[i] == '.' {
 		i++
 		for ; i < len(b) && b[i]-'0' <= 9; i++ {
@@ -351,13 +436,13 @@ func decimal[T string | []byte](b T) (f float64, n int, ok bool) {
 		digits += frac
 	}
 	if digits == 0 || digits > 15 {
-		return 0, i, false
+		return 0, i, 0, false
 	}
 	f = float64(m) / pow10[frac]
 	if neg {
 		f = -f
 	}
-	return f, i, true
+	return f, i, frac, true
 }
 
 func parseFloat[T string | []byte](field T) (float64, bool) {

@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
+	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -131,12 +134,13 @@ func checkAgainstReference(t *testing.T, kind string, data []byte) {
 	if kind != KindIndependent {
 		return
 	}
-	c, order, err := scanIndependent(bytes.NewReader(data))
+	c, order, scores, err := scanIndependent(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("%s %q: scan: %v", kind, data, err)
 	}
+	defer c.release()
 	var m memFile
-	if _, err := writeSegment(&m, kind, len(order), 1, c.independentSections(order)); err != nil {
+	if _, err := writeSegment(&m, kind, len(order), 1, c.independentSections(order, scores)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(m.b, wantSeg) {
@@ -176,6 +180,13 @@ func FuzzCSVParse(f *testing.F) {
 		"1,0.5\n2,0.25\n3,\n4,0.5\n",
 		"1,0.5,a\n2,0.25,b\n3,0.5,\n4,0.5,c,d\n5,0.5,\"e\"\n",
 		"1,0.5\n2,0.25\n3e0,.5\n-4.,+0.5\n",
+		// the sort keys: exact decimal keys, and each way out of them
+		"1.5,0.5\n1.50,0.25\n2,0.5\n1.5000,0.75\n",
+		"-0.000,0.5\n0,0.5\n-0,0.25\n0.001,0.5\n-0.001,0.5\n",
+		"-12.345,0.5\n3.5,0.5\n-12.345,0.25\n-12.3449,0.5\n",
+		"123456789012.345,0.5\n-123456789012.345,0.5\n0.123456789012345,0.5\n",
+		"1.5,0.5\n2.25,0.5\n1e0,0.5\n0.75,0.5\n",
+		"123456789012345,0.5\n0.01,0.5\n-5,0.5\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -292,8 +303,13 @@ func TestScanBufferBoundaries(t *testing.T) {
 	}
 }
 
+// plainDecimal matches what decimal reads: a sign, digits, a point and
+// the fraction digits.
+var plainDecimal = regexp.MustCompile(`^[+-]?([0-9]*)(?:\.([0-9]*))?$`)
+
 // The fast decimal path must give ParseFloat's bits for every plain
-// decimal it accepts, and leave everything else to ParseFloat.
+// decimal it accepts, with its fraction digit count, and leave everything
+// else to ParseFloat.
 func TestParseNumMatchesParseFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	digits := func(k int) string {
@@ -322,14 +338,26 @@ func TestParseNumMatchesParseFloat(t *testing.T) {
 	}
 	for _, s := range cases {
 		want, err := strconv.ParseFloat(s, 64)
-		f1, ok1 := parseNum(s)
-		f2, ok2 := parseNum([]byte(s))
+		// A plain decimal of 1 to 15 digits reports its fraction digits;
+		// anything else, −1.
+		wantFrac := -1
+		if m := plainDecimal.FindStringSubmatch(s); m != nil {
+			if d := len(m[1]) + len(m[2]); d >= 1 && d <= 15 {
+				wantFrac = len(m[2])
+			}
+		}
+		f1, frac1, ok1 := parseNum(s)
+		f2, frac2, ok2 := parseNum([]byte(s))
 		for _, got := range [...]struct {
-			f  float64
-			ok bool
-		}{{f1, ok1}, {f2, ok2}} {
+			f    float64
+			frac int
+			ok   bool
+		}{{f1, frac1, ok1}, {f2, frac2, ok2}} {
 			if got.ok != (err == nil) || got.ok && math.Float64bits(got.f) != math.Float64bits(want) {
 				t.Fatalf("parseNum(%q) = %v, %v; ParseFloat %v, %v", s, got.f, got.ok, want, err)
+			}
+			if got.ok && got.frac != wantFrac {
+				t.Fatalf("parseNum(%q): %d fraction digits, want %d", s, got.frac, wantFrac)
 			}
 		}
 	}
@@ -467,18 +495,94 @@ func TestImportCSVInputErrors(t *testing.T) {
 
 // Importing an independent CSV allocates per column block and per
 // import, never per row: a 10⁵-row import stays within the block count
-// plus a constant.
+// plus a constant. Its bytes stay within 512 KiB, which holds only while
+// the column blocks and the sort scratch (3.2 MB at this size) come back
+// from their pools. That is measured on one P, as AllocsPerRun measures:
+// the scratch is a single pooled object, which waits in the private slot
+// of the P that put it back, where a Get on another P cannot find it. The
+// race detector makes sync.Pool drop a random quarter of what it is
+// given, so there only the count is held.
 func TestImportCSVAllocs(t *testing.T) {
 	const n = 100_000
 	body := benchCSV(n)
 	s := tempStore(t)
-	allocs := testing.AllocsPerRun(3, func() {
+	imp := func() {
 		if _, err := s.ImportCSV("d", KindIndependent, bytes.NewReader(body)); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(3, imp)
 	if limit := float64(n/blockLen + 100); allocs > limit {
 		t.Fatalf("ImportCSV of %d rows: %.0f allocations, want at most %.0f", n, allocs, limit)
+	}
+	if raceEnabled {
+		return
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		imp()
+	}
+	runtime.ReadMemStats(&after)
+	if b, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(512<<10); b > limit {
+		t.Fatalf("ImportCSV of %d rows: %d bytes allocated, want at most %d", n, b, limit)
+	}
+}
+
+// The sort keys are the scaled decimals when every score is a plain
+// decimal of at most 15 digits and the scaled magnitudes stay below 2^51,
+// and core.ScoreKey's float keys otherwise. Each input must take the keys
+// named and parse exactly as the reference reader and the comparator sort
+// do.
+func TestSortKeys(t *testing.T) {
+	for _, tc := range []struct {
+		name, data string
+		decimal    bool
+	}{
+		{"mixed fraction lengths", "1.5,0.5\n1.50,0.25\n1.25,0.5\n2,0.5\n1.5000,0.75\n", true},
+		{"negative zero", "-0.000,0.5\n0,0.5\n-0,0.25\n0.001,0.5\n-0.001,0.5\n", true},
+		{"negatives", "-12.345,0.5\n-1,0.5\n3.5,0.5\n-12.345,0.25\n-12.3449,0.5\n", true},
+		{"15 digits", "123456789012.345,0.5\n123456789012.344,0.5\n-123456789012.345,0.5\n0.5,0.5\n", true},
+		{"15 fraction digits", ".123456789012345,0.5\n.123456789012344,0.5\n0.1,0.5\n-.000000000000001,0.5\n", true},
+		{"header and quotes", "score,prob\n1.5,0.5\n\"2.25\",0.5\n-3,\"0.5\"\n", true},
+		{"just under 2^51", "225179981368524,0.5\n0.5,0.5\n-225179981368524,0.25\n", true},
+		{"just over 2^51", "225179981368525,0.5\n0.5,0.5\n", false},
+		{"negative over 2^51", "-225179981368525,0.5\n0.5,0.5\n", false},
+		{"beyond 2^51", "123456789012345,0.5\n0.01,0.5\n-5,0.5\n", false},
+		{"exponent row", "1.5,0.5\n2.25,0.5\n1e0,0.5\n0.75,0.5\n", false},
+		{"16 digits", "1.5,0.5\n0.1234567890123456,0.5\n", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := []byte(tc.data)
+			checkAgainstReference(t, KindIndependent, data)
+			c, err := scanCSV(bytes.NewReader(data), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.decimalScale(); ok != tc.decimal {
+				t.Fatalf("decimal keys %v, want %v", ok, tc.decimal)
+			}
+		})
+	}
+}
+
+// benchCSV, shaped like a served table, must sort on the decimal keys,
+// and they must span at most 22 bits, two radix passes: a silent fall
+// back to the six-pass float keys fails here, not only in a benchmark.
+func TestBenchCSVSortsOnDecimalKeys(t *testing.T) {
+	c, err := scanCSV(bytes.NewReader(benchCSV(100_000)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.release()
+	scale, ok := c.decimalScale()
+	if !ok {
+		t.Fatalf("float keys (%d fraction digits, scores in [%v, %v])", c.frac, c.lo, c.hi)
+	}
+	if w := bits.Len64(decimalKey(c.hi, scale) - decimalKey(c.lo, scale)); w > 22 {
+		t.Fatalf("decimal keys span %d bits, want at most 22", w)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/andxor"
 	"repro/internal/core"
@@ -62,53 +63,72 @@ func (ds *Dataset) len() int {
 // Len reports the number of tuples in the dataset.
 func (ds *Dataset) Len() int { return ds.len() }
 
+// model is the backend model of a structured dataset, as validate builds
+// it: the and/xor tree of an x-relation or tree, or the chain of a chain.
+// An independent dataset has none (the zero model).
+type model struct {
+	tree  *andxor.Tree
+	chain *junction.Chain
+}
+
+// engine prepares the model for ranking.
+func (m model) engine() *engine.Engine {
+	if m.chain != nil {
+		return engine.New(junction.PrepareChain(m.chain))
+	}
+	return engine.New(andxor.PrepareTree(m.tree))
+}
+
 // validate checks the canonical invariants Encode requires and Decode
 // guarantees. It validates all the way down to model semantics by building
-// (and discarding) the backend model, so a dataset that validates is a
-// dataset Engine can serve: decode success implies open success.
-func (ds *Dataset) validate() error {
+// the backend model, which it returns, so a dataset that validates is a
+// dataset Engine can serve — decode success implies open success — and
+// OpenEngine serves the model validate built.
+func (ds *Dataset) validate() (model, error) {
 	n := ds.len()
 	if n < 1 {
-		return fmt.Errorf("%w: empty dataset", ErrCorrupt)
+		return model{}, fmt.Errorf("%w: empty dataset", ErrCorrupt)
 	}
 	if n > maxTuples {
-		return fmt.Errorf("%w: %d tuples exceeds the format cap %d", ErrCorrupt, n, maxTuples)
+		return model{}, fmt.Errorf("%w: %d tuples exceeds the format cap %d", ErrCorrupt, n, maxTuples)
 	}
+	var m model
+	var err error
 	switch ds.Kind {
 	case KindIndependent:
 		if err := core.CheckSorted(ds.IDs, ds.Scores, ds.Probs); err != nil {
-			return fmt.Errorf("%w: independent arrays: %w", ErrCorrupt, err)
+			return model{}, fmt.Errorf("%w: independent arrays: %w", ErrCorrupt, err)
 		}
 	case KindXRelation:
 		if len(ds.Probs) != n || len(ds.Groups) != n {
-			return fmt.Errorf("%w: x-relation arrays disagree on length", ErrCorrupt)
+			return model{}, fmt.Errorf("%w: x-relation arrays disagree on length", ErrCorrupt)
 		}
 		if ds.Groups[0] != 0 {
-			return fmt.Errorf("%w: x-relation groups must start at 0", ErrCorrupt)
+			return model{}, fmt.Errorf("%w: x-relation groups must start at 0", ErrCorrupt)
 		}
 		for i := 1; i < n; i++ {
 			if g, prev := ds.Groups[i], ds.Groups[i-1]; g != prev && g != prev+1 {
-				return fmt.Errorf("%w: x-relation group indices must be dense and non-decreasing", ErrCorrupt)
+				return model{}, fmt.Errorf("%w: x-relation group indices must be dense and non-decreasing", ErrCorrupt)
 			}
 		}
-		if _, err := andxor.XTuples(ds.xgroups()); err != nil {
-			return fmt.Errorf("%w: x-relation: %w", ErrCorrupt, err)
+		if m.tree, err = andxor.XTuples(ds.xgroups()); err != nil {
+			return model{}, fmt.Errorf("%w: x-relation: %w", ErrCorrupt, err)
 		}
 	case KindTree:
-		if _, err := ds.tree(); err != nil {
-			return fmt.Errorf("%w: %w", ErrCorrupt, err)
+		if m.tree, err = ds.tree(); err != nil {
+			return model{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 	case KindChain:
 		if len(ds.Pairs) != n-1 {
-			return fmt.Errorf("%w: chain has %d scores but %d pairwise joints", ErrCorrupt, n, len(ds.Pairs))
+			return model{}, fmt.Errorf("%w: chain has %d scores but %d pairwise joints", ErrCorrupt, n, len(ds.Pairs))
 		}
-		if _, err := junction.NewChain(ds.Scores, ds.Pairs); err != nil {
-			return fmt.Errorf("%w: chain: %w", ErrCorrupt, err)
+		if m.chain, err = junction.NewChain(ds.Scores, ds.Pairs); err != nil {
+			return model{}, fmt.Errorf("%w: chain: %w", ErrCorrupt, err)
 		}
 	default:
-		return fmt.Errorf("%w: unknown dataset kind %q", ErrCorrupt, ds.Kind)
+		return model{}, fmt.Errorf("%w: unknown dataset kind %q", ErrCorrupt, ds.Kind)
 	}
-	return nil
+	return m, nil
 }
 
 // xgroups reassembles the [][]Alternative grouping from the flattened
@@ -138,6 +158,8 @@ func (ds *Dataset) tree() (*andxor.Tree, error) {
 // tuples this is the sequential-scan fast path: the arrays are already in
 // prepared order, so core.FromSorted admits them without re-sorting.
 func (ds *Dataset) Engine() (*engine.Engine, error) {
+	var m model
+	var err error
 	switch ds.Kind {
 	case KindIndependent:
 		v, err := core.FromSorted(ds.IDs, ds.Scores, ds.Probs)
@@ -146,26 +168,18 @@ func (ds *Dataset) Engine() (*engine.Engine, error) {
 		}
 		return engine.New(v), nil
 	case KindXRelation:
-		t, err := andxor.XTuples(ds.xgroups())
-		if err != nil {
-			return nil, err
-		}
-		return engine.New(andxor.PrepareTree(t)), nil
+		m.tree, err = andxor.XTuples(ds.xgroups())
 	case KindTree:
-		t, err := ds.tree()
-		if err != nil {
-			return nil, err
-		}
-		return engine.New(andxor.PrepareTree(t)), nil
+		m.tree, err = ds.tree()
 	case KindChain:
-		c, err := junction.NewChain(ds.Scores, ds.Pairs)
-		if err != nil {
-			return nil, err
-		}
-		return engine.New(junction.PrepareChain(c)), nil
+		m.chain, err = junction.NewChain(ds.Scores, ds.Pairs)
 	default:
 		return nil, fmt.Errorf("store: unknown dataset kind %q", ds.Kind)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return m.engine(), nil
 }
 
 // Parse parses one dataset of the given kind from a reader into its
@@ -190,37 +204,39 @@ func Parse(kind string, r io.Reader) (*Dataset, error) {
 // ParseIndependentCSV always has, in the same order: scan errors, the
 // group-column guard, emptiness, then the tuple rules in input order
 // (pdb's texts, tuple i being ID i; the scan checks each row as it lands).
-// It returns the columns with their canonical order: order[j] is the input
-// position at prepared position j. The caller releases the columns.
-func scanIndependent(r io.Reader) (*columns, []uint32, error) {
-	c, err := scanCSV(r, false)
+// It returns the columns with their canonical order and the scores in it:
+// order[j] is the input position at prepared position j, scores[j] its
+// score. The caller releases the columns, and the order with them.
+func scanIndependent(r io.Reader) (c *columns, order []uint32, scores []float64, err error) {
+	c, err = scanCSV(r, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if c.grouped {
-		return nil, nil, errors.New("store: independent CSV has a group column; load it as an x-relation (kind xrel)")
+		return nil, nil, nil, errors.New("store: independent CSV has a group column; load it as an x-relation (kind xrel)")
 	}
 	if c.n == 0 {
-		return nil, nil, errors.New("store: empty dataset")
+		return nil, nil, nil, errors.New("store: empty dataset")
 	}
 	if c.invalid != nil {
-		return nil, nil, c.invalid
+		return nil, nil, nil, c.invalid
 	}
-	order, err := core.CanonicalOrder(c.n, c.score)
-	if err != nil {
-		return nil, nil, err
+	if order, scores, err = c.sortOrder(); err != nil {
+		c.release()
+		return nil, nil, nil, err
 	}
-	return c, order, nil
+	return c, order, scores, nil
 }
 
 // independentSections returns the segment sections of a scanned
-// independent CSV, streamed from the column blocks in the given canonical
-// order — the bytes Encode writes for the Dataset ParseIndependentCSV
-// would build, without building it.
-func (c *columns) independentSections(order []uint32) func(*sectionWriter) {
+// independent CSV in the given canonical order, the scores already
+// gathered into it and the probabilities streamed from the column blocks
+// — the bytes Encode writes for the Dataset ParseIndependentCSV would
+// build, without building it.
+func (c *columns) independentSections(order []uint32, scores []float64) func(*sectionWriter) {
 	return func(w *sectionWriter) {
 		w.u32s(secIDs, len(order), func(j int) uint32 { return order[j] })
-		w.fixed(secScores, 8, len(order), func(b []byte, lo int) { c.putOrdered(b, colScore, order[lo:]) })
+		w.f64s(secScores, len(scores), func(j int) float64 { return scores[j] })
 		w.fixed(secProbs, 8, len(order), func(b []byte, lo int) { c.putOrdered(b, colProb, order[lo:]) })
 	}
 }
@@ -231,16 +247,16 @@ func (c *columns) independentSections(order []uint32) func(*sectionWriter) {
 // group column, if present, is an error — use ParseXRelationCSV for
 // x-relations.
 func ParseIndependentCSV(r io.Reader) (*Dataset, error) {
-	c, order, err := scanIndependent(r)
+	c, order, scores, err := scanIndependent(r)
 	if err != nil {
 		return nil, err
 	}
 	defer c.release()
 	n := len(order)
 	ds := &Dataset{Kind: KindIndependent,
-		IDs: make([]pdb.TupleID, n), Scores: make([]float64, n), Probs: make([]float64, n)}
+		IDs: make([]pdb.TupleID, n), Scores: slices.Clone(scores), Probs: make([]float64, n)}
 	for j, id := range order {
-		ds.IDs[j], ds.Scores[j], ds.Probs[j] = pdb.TupleID(id), c.at(colScore, int(id)), c.at(colProb, int(id))
+		ds.IDs[j], ds.Probs[j] = pdb.TupleID(id), c.at(colProb, int(id))
 	}
 	return ds, nil
 }

@@ -419,7 +419,7 @@ func (ds *Dataset) writeSections(w *sectionWriter) {
 // format version. The dataset must satisfy the canonical invariants
 // (Dataset.validate); Import establishes them for parsed input.
 func Encode(ds *Dataset, generation uint64) ([]byte, error) {
-	if err := ds.validate(); err != nil {
+	if _, err := ds.validate(); err != nil {
 		return nil, err
 	}
 	var m memFile
@@ -441,15 +441,21 @@ func decodeFloats(b []byte) []float64 {
 // verifying every checksum and every canonical invariant. Decode succeeding
 // guarantees Encode(ds, gen) reproduces data bit-for-bit.
 func Decode(data []byte) (*Dataset, uint64, error) {
+	ds, gen, _, err := decode(data)
+	return ds, gen, err
+}
+
+// decode is Decode, also returning the model validation built.
+func decode(data []byte) (*Dataset, uint64, model, error) {
 	h, err := readHeader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, model{}, err
 	}
 	ds := &Dataset{Kind: h.kind}
 	for _, s := range h.sections {
 		buf, err := readSection(bytes.NewReader(data), s)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, model{}, err
 		}
 		switch s.id {
 		case secIDs:
@@ -469,7 +475,7 @@ func Decode(data []byte) (*Dataset, uint64, error) {
 		case secTree:
 			t, err := decodeTree(buf, h.n)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, model{}, err
 			}
 			ds.Tree = t
 		case secPairs:
@@ -482,10 +488,11 @@ func Decode(data []byte) (*Dataset, uint64, error) {
 			}
 		}
 	}
-	if err := ds.validate(); err != nil {
-		return nil, 0, err
+	m, err := ds.validate()
+	if err != nil {
+		return nil, 0, model{}, err
 	}
-	return ds, h.gen, nil
+	return ds, h.gen, m, nil
 }
 
 // Tree-spec binary encoding: a preorder walk with fixed-width fields (no

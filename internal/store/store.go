@@ -129,7 +129,7 @@ func (s *Store) Import(name string, ds *Dataset) (Info, error) {
 	if err := CheckName(name); err != nil {
 		return Info{}, err
 	}
-	if err := ds.validate(); err != nil {
+	if _, err := ds.validate(); err != nil {
 		return Info{}, err
 	}
 	return s.put(name, ds.Kind, ds.len(), s.nextGeneration(name), ds.writeSections)
@@ -149,11 +149,12 @@ func (e *InputError) Unwrap() error { return e.Err }
 // Parse followed by Import would: the same segment bytes, the same error
 // texts. An independent-tuple CSV goes straight from text to segment: the
 // scanner parses and checks nearly every row in one forward pass over its
-// read buffer into pooled fixed-size column blocks, core.CanonicalOrder
-// sorts them by permutation, and the sections are encoded from the blocks
-// in that order, so no sorted copy of the dataset is ever built and the
-// blocks go back to the pool for the next import. The other kinds parse
-// into a Dataset and Import it. Failures of the body come back as
+// read buffer into pooled fixed-size column blocks, a radix sort on keys
+// the scanner chose (exact scaled decimals where the text allows) orders
+// them by permutation in pooled scratch, and the sections are encoded in
+// that order, so no sorted copy of the dataset is ever built and blocks
+// and scratch go back to their pools for the next import. The other kinds
+// parse into a Dataset and Import it. Failures of the body come back as
 // *InputError; the rest are the store's.
 func (s *Store) ImportCSV(name, kind string, r io.Reader) (Info, error) {
 	if err := CheckName(name); err != nil {
@@ -166,12 +167,12 @@ func (s *Store) ImportCSV(name, kind string, r io.Reader) (Info, error) {
 		}
 		return s.Import(name, ds)
 	}
-	c, order, err := scanIndependent(r)
+	c, order, scores, err := scanIndependent(r)
 	if err != nil {
 		return Info{}, &InputError{Err: err}
 	}
 	defer c.release()
-	return s.put(name, KindIndependent, len(order), s.nextGeneration(name), c.independentSections(order))
+	return s.put(name, KindIndependent, len(order), s.nextGeneration(name), c.independentSections(order, scores))
 }
 
 // nextGeneration is the generation the next import of name gets: one past
@@ -301,15 +302,11 @@ func (s *Store) OpenEngine(name string) (*engine.Engine, Info, error) {
 		return engine.New(NewLazy(h)), info, nil
 	}
 	defer h.Close()
-	ds, _, err := h.Dataset()
+	_, _, m, err := h.decode()
 	if err != nil {
 		return nil, Info{}, err
 	}
-	e, err := ds.Engine()
-	if err != nil {
-		return nil, Info{}, err
-	}
-	return e, info, nil
+	return m.engine(), info, nil
 }
 
 // Handle is an open, header-validated segment. It pins the snapshot (the
@@ -379,16 +376,22 @@ func (h *Handle) Close() error { return h.f.Close() }
 
 // Dataset reads the whole segment and fully decodes it.
 func (h *Handle) Dataset() (*Dataset, uint64, error) {
+	ds, gen, _, err := h.decode()
+	return ds, gen, err
+}
+
+// decode is Dataset, also returning the model validation built.
+func (h *Handle) decode() (*Dataset, uint64, model, error) {
 	raw := make([]byte, h.hdr.size)
 	if _, err := h.f.ReadAt(raw, 0); err != nil {
-		return nil, 0, fmt.Errorf("store: reading %s: %w", h.name, err)
+		return nil, 0, model{}, fmt.Errorf("store: reading %s: %w", h.name, err)
 	}
 	h.bytesRead.Add(h.hdr.size)
-	ds, gen, err := Decode(raw)
+	ds, gen, m, err := decode(raw)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", h.name, err)
+		return nil, 0, model{}, fmt.Errorf("%s: %w", h.name, err)
 	}
-	return ds, gen, nil
+	return ds, gen, m, nil
 }
 
 // readSectionFull reads one whole section payload, verifying its checksum.
