@@ -182,9 +182,9 @@ func decimalKey(s, scale float64) uint64 { return math.Float64bits(s*scale + 0x1
 // the scores gathered into it, in scratch from orderPool that release
 // returns. The keys are the scaled decimals when decimalScale allows,
 // counted down from the greatest score's so they span only the bits the
-// scores need — 23 for three-decimal scores below 8,000, three radix
-// passes where core.ScoreKey's float keys take six — and ScoreKey's
-// otherwise.
+// scores need — at most 23 for three-decimal scores below 8,000, so at
+// most three radix passes where core.ScoreKey's float keys take six —
+// and ScoreKey's otherwise.
 func (c *columns) sortOrder() (order []uint32, scores []float64, err error) {
 	c.order = newOrderScratch()
 	keys := c.order.Keys(c.n)
