@@ -164,10 +164,10 @@ func (c *columns) release() {
 // for its digits m and fraction digits f ≤ F, so k = m·10^(F−f) is an
 // exact integer, and distinct such decimals are distinct doubles. Where
 // the product s·10^F stays below 2^51 in magnitude it is within 3/8 of k
-// (two roundings, each at most 2^−53 relative to a value below 2^51 plus
-// half a unit of 1/4), so rounding it to the nearest integer gives k
-// exactly: the keys order and tie exactly as the scores do, −0 and 0
-// both at k = 0.
+// — the parse's rounding of s moves it at most 2^−53·2^51 = 1/4, the
+// product's own rounding at most half its spacing of 1/4 — so rounding
+// it to the nearest integer gives k exactly: the keys order and tie
+// exactly as the scores do, −0 and 0 both at k = 0.
 func (c *columns) decimalScale() (float64, bool) {
 	scale := pow10[c.frac]
 	return scale, !c.inexact && max(math.Abs(c.lo), math.Abs(c.hi))*scale < 1<<51
