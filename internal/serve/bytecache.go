@@ -15,6 +15,7 @@ package serve
 
 import (
 	"container/list"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -29,10 +30,16 @@ const DefaultByteCacheCapacity = 256
 const defaultByteCacheBytes = 64 << 20
 
 // byteBody is one cached response body. gzipped marks whether the bytes are
-// a gzip stream (and the response needs Content-Encoding: gzip).
+// a gzip stream (and the response needs Content-Encoding: gzip); length is
+// the Content-Length header value, formatted once when the body is made.
 type byteBody struct {
 	bytes   []byte
 	gzipped bool
+	length  []string
+}
+
+func newByteBody(b []byte, gzipped bool) byteBody {
+	return byteBody{bytes: b, gzipped: gzipped, length: []string{strconv.Itoa(len(b))}}
 }
 
 // ByteCacheStats is the byte_cache block of GET /stats. Flights and Shared

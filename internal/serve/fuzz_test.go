@@ -7,7 +7,10 @@ package serve
 // metric). Run with: go test ./internal/serve -fuzz FuzzWireQueryDecode
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,4 +120,96 @@ func FuzzColumnarRows(f *testing.F) {
 			t.Fatalf("decoded Rows() != FromResults():\n got %+v\nwant %+v", got, want)
 		}
 	})
+}
+
+// FuzzRankRequestDecode holds the one-pass request scanner to its rule:
+// whenever it takes a body, encoding/json with DisallowUnknownFields — the
+// decoder every other body goes to — takes that body too and decodes the
+// same RankRequest. The whole decode, scanner or fallback, under a small
+// body limit, must also answer each body exactly as encoding/json reading
+// the bounded body alone: the same request or the same error text. Run
+// with: go test ./internal/serve -fuzz FuzzRankRequestDecode
+func FuzzRankRequestDecode(f *testing.F) {
+	const limit = 512
+	seeds := []string{
+		// What json.Marshal of a RankRequest sends (servebench's reads).
+		`{"dataset":"ind-1","query":{"metric":"prfe","output":"topk","alpha":0.9,"k":10}}`,
+		`{"dataset":"ind-1","query":{"metric":"prfe","output":"topk","alphas":[0.05,0.2,0.35,0.5,0.65,0.8,0.9,0.99],"k":10}}`,
+		`{"dataset":"xrel-1","query":{"metric":"pth","output":"topk","h":10,"k":10}}`,
+		`{"dataset":"ind-1","query":{"metric":"medianrank","output":"topk","k":1999},"stream":true}`,
+		`{"dataset":"ind-1","query":{"metric":"prfe","alpha":1e-7},"timeout_ms":250,"format":"columnar"}`,
+		` {"dataset" : "a" , "query":{ "weights" : [ 1 , 2.5 , -3e2 ] } } ` + "\n",
+		`{"dataset":"a","dataset":"b"}`,
+		`{"query":{"k":1,"k":2}}`,
+		`{"Dataset":"a","QUERY":{"Metric":"prfe"}}`,
+		`{"query":{"alphas":[],"weights":[]}}`,
+		`{"query":{"k":1.0}}`,
+		`{"query":{"k":01}}`,
+		`{"query":{"alpha":1e400}}`,
+		`{"query":{"h":-9223372036854775809}}`,
+		`{} x`,
+		`{}{}`,
+		`null`,
+		`{"query":null,"dataset":null}`,
+		`{"dataset":"\u0069ip","query":{"metric":"pr\"fe"}}`,
+		`{"query":{"metric":"prfecombo","terms":[{"u":[1,0],"alpha":[0.9,0]}]}}`,
+		`{"dataset":"a",`,
+		``,
+		// Bodies over the limit. encoding/json takes a value that ends
+		// before the limit without reading the excess, so the first two
+		// decode, and the rest are too_large.
+		`{"dataset":"a"}` + strings.Repeat(" ", limit),
+		`{"dataset":"a"}` + strings.Repeat("x", limit),
+		strings.Repeat(" ", limit) + `{"dataset":"a"}`,
+		`{"query":{"metric":"prfomega","weights":[` + strings.Repeat("0.125,", limit/6) + `1]}}`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got RankRequest
+		if scanRequest(data, &got) {
+			var want RankRequest
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&want); err != nil {
+				t.Fatalf("scanner took %q, encoding/json refused it: %v", data, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("body %q:\n scan %+v\n json %+v", data, got, want)
+			}
+		}
+		sameDecode(t, data, limit)
+	})
+}
+
+// oldDecode is the request decode as it was before the scanner: encoding/
+// json reading the bounded body itself.
+func oldDecode(body []byte, limit int64) (RankRequest, error) {
+	var req RankRequest
+	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
+// newDecode is decodeRequest's body handling.
+func newDecode(body []byte, limit int64) (RankRequest, error) {
+	var req RankRequest
+	err := decodeBody(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit), &req)
+	return req, err
+}
+
+// sameDecode checks that the decode pipeline answers body exactly as the
+// old encoding/json decode did: the same request, or the same error text.
+func sameDecode(t *testing.T, body []byte, limit int64) {
+	t.Helper()
+	want, werr := oldDecode(body, limit)
+	got, gerr := newDecode(body, limit)
+	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+		t.Fatalf("body %q (limit %d): error %v, want %v", body, limit, gerr, werr)
+	}
+	if werr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("body %q (limit %d):\n got %+v\nwant %+v", body, limit, got, want)
+	}
 }

@@ -5,14 +5,18 @@
 // backend, enforces per-request deadlines through the engines' context
 // plumbing, and memoizes hot queries in exactly one cache per dataset: the
 // encoded-byte cache, so a hot hit is one Write with no re-encode
-// (bytecache.go). Only when that cache is disabled does a dataset get an
-// engine-level result cache instead — holding both would store every
-// buffered answer twice, once as a Result and once as its bytes. Concurrent
-// identical cold requests collapse into one evaluation + one encode through
-// per-key single-flight latches (singleflight.go), POST /rankbatch can
-// stream each grid point as it is computed (stream.go), responses negotiate
-// Accept-Encoding: gzip, and large grids can ask for a compact columnar
-// payload ("format": "columnar").
+// (bytecache.go). A request body is read once and decoded in one forward
+// pass by a strict scanner, or, when the scanner cannot take all of it, by
+// encoding/json, which alone words decode errors (decode.go); the deadline
+// context is derived only when the byte cache misses. Only when that cache
+// is disabled does a dataset get an engine-level result cache instead —
+// holding both would store every buffered answer twice, once as a Result
+// and once as its bytes. Concurrent identical cold requests collapse into
+// one evaluation + one encode through per-key single-flight latches
+// (singleflight.go), POST /rankbatch can stream each grid point as it is
+// computed (stream.go), responses negotiate Accept-Encoding: gzip, and
+// large grids can ask for a compact columnar payload ("format":
+// "columnar").
 //
 // Endpoints:
 //
@@ -295,10 +299,23 @@ func (s *Server) dataset(name string) (*dataset, bool) {
 	return d, ok
 }
 
-// ServeHTTP implements http.Handler. Requests the mux cannot route — wrong
-// method on a known path, unknown path — get the same JSON error shape as
-// everything else instead of net/http's plain-text defaults.
+// ServeHTTP implements http.Handler. A POST to the clean path /rank or
+// /rankbatch — nearly all traffic — goes straight to its handler, where the
+// mux would route it, so a hot read is routed once. Every other request
+// goes through the mux; those it cannot route — wrong method on a known
+// path, unknown path — get the same JSON error shape as everything else
+// instead of net/http's plain-text defaults.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && r.URL.RawPath == "" {
+		switch r.URL.Path {
+		case "/rank":
+			s.handleRank(w, r)
+			return
+		case "/rankbatch":
+			s.handleRankBatch(w, r)
+			return
+		}
+	}
 	if _, pattern := s.mux.Handler(r); pattern == "" {
 		if methods, known := allowedMethods(r.URL.Path); known {
 			w.Header().Set("Allow", methods)
@@ -334,6 +351,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 // learn what the endpoint speaks, not that its bytes failed to parse.
 func checkContentType(w http.ResponseWriter, r *http.Request) bool {
 	ct := r.Header.Get("Content-Type")
+	if ct == "application/json" {
+		return true
+	}
 	mt, _, err := mime.ParseMediaType(ct)
 	if err == nil && (mt == "application/json" || strings.HasSuffix(mt, "+json")) {
 		return true
@@ -345,35 +365,35 @@ func checkContentType(w http.ResponseWriter, r *http.Request) bool {
 
 // decodeRequest parses and validates the shared request envelope, resolving
 // the dataset. A nil *dataset return means the error was already written.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*RankRequest, *dataset) {
+// decodeBody (decode.go) reads the body once: the one-pass scanner takes
+// it when it can, encoding/json otherwise, and only encoding/json's errors
+// reach the client.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req *RankRequest) *dataset {
 	if !checkContentType(w, r) {
-		return nil, nil
+		return nil
 	}
-	var req RankRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
 				fmt.Sprintf("serve: request body exceeds %d bytes", tooLarge.Limit))
-			return nil, nil
+			return nil
 		}
 		writeError(w, http.StatusBadRequest, "bad_request", "serve: malformed request JSON: "+err.Error())
-		return nil, nil
+		return nil
 	}
 	if req.TimeoutMS < 0 {
 		writeError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("serve: negative timeout_ms %d", req.TimeoutMS))
-		return nil, nil
+		return nil
 	}
 	d, ok := s.dataset(req.Dataset)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown_dataset",
 			fmt.Sprintf("serve: unknown dataset %q (GET /datasets lists the loaded ones)", req.Dataset))
-		return nil, nil
+		return nil
 	}
-	return &req, d
+	return d
 }
 
 // requestContext derives the per-request deadline context: the client's
@@ -407,8 +427,9 @@ func writeEngineError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	req, d := s.decodeRequest(w, r)
-	if req == nil {
+	var req RankRequest
+	d := s.decodeRequest(w, r, &req)
+	if d == nil {
 		return
 	}
 	if req.Stream || req.Format != "" {
@@ -421,14 +442,12 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
 	wantGzip := acceptsGzip(r)
 	key := ""
 	if qkey, ok := q.CacheKey(); ok {
 		key = byteKey("R", wantGzip, qkey)
 	}
-	s.respond(ctx, w, d, key, wantGzip, func(ctx context.Context) (any, error) {
+	s.respond(w, r, d, req.TimeoutMS, key, wantGzip, func(ctx context.Context) (any, error) {
 		res, err := d.rank(ctx, q)
 		if err != nil {
 			return nil, err
@@ -439,8 +458,9 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	req, d := s.decodeRequest(w, r)
-	if req == nil {
+	var req RankRequest
+	d := s.decodeRequest(w, r, &req)
+	if d == nil {
 		return
 	}
 	q, err := req.Query.ToQuery()
@@ -464,17 +484,15 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 				"serve: streamed responses use the results format, not columnar")
 			return
 		}
-		s.streamBatch(w, r, d, req, q)
+		s.streamBatch(w, r, d, req.TimeoutMS, q)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
 	wantGzip := acceptsGzip(r)
 	key := ""
 	if qkey, ok := q.CacheKey(); ok {
 		key = byteKey(prefix, wantGzip, qkey)
 	}
-	s.respond(ctx, w, d, key, wantGzip, func(ctx context.Context) (any, error) {
+	s.respond(w, r, d, req.TimeoutMS, key, wantGzip, func(ctx context.Context) (any, error) {
 		res, err := d.rankBatch(ctx, q)
 		if err != nil {
 			return nil, err

@@ -20,7 +20,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -39,23 +38,70 @@ var gzipPool = sync.Pool{
 	},
 }
 
-// acceptsGzip reports whether the client's Accept-Encoding admits gzip.
-// Parsing is deliberately minimal: a gzip (or *) token accepts unless it
-// carries an explicit q=0.
+// acceptsGzip reports whether the client's Accept-Encoding admits gzip
+// (RFC 9110 §12.5.3): gzip listed with a non-zero qvalue, or, when gzip is
+// not listed, "*" with a non-zero qvalue. Codings and the q parameter
+// compare case-insensitively (§8.4.1, §12.4.2); a member whose qvalue does
+// not parse is ignored, and the first member naming gzip (or *) decides.
 func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		token, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		token = strings.TrimSpace(token)
-		if token != "gzip" && token != "*" {
+	star := -1 // q of "*" in thousandths; -1 until one is listed
+	for _, field := range r.Header["Accept-Encoding"] {
+		for field != "" {
+			var member string
+			member, field, _ = strings.Cut(field, ",")
+			coding, params, _ := strings.Cut(member, ";")
+			coding = strings.TrimSpace(coding)
+			isGzip := strings.EqualFold(coding, "gzip")
+			if !isGzip && coding != "*" {
+				continue
+			}
+			q, ok := weight(params)
+			switch {
+			case !ok:
+			case isGzip:
+				return q > 0
+			case star < 0:
+				star = q
+			}
+		}
+	}
+	return star > 0
+}
+
+// weight reads the q parameter from a member's ";"-separated parameters,
+// in thousandths: 1000 when there is none, ok false when it is not a
+// qvalue ("0" or "1", then optionally "." and up to three digits, at most
+// 1).
+func weight(params string) (q int, ok bool) {
+	for params != "" {
+		var param string
+		param, params, _ = strings.Cut(params, ";")
+		name, v, _ := strings.Cut(strings.TrimSpace(param), "=")
+		if !strings.EqualFold(strings.TrimSpace(name), "q") {
 			continue
 		}
-		q := strings.TrimSpace(params)
-		if q == "q=0" || strings.HasPrefix(q, "q=0.0") || strings.HasPrefix(q, "q=0,") {
-			return false
+		v = strings.TrimSpace(v)
+		if v == "" || (v[0] != '0' && v[0] != '1') {
+			return 0, false
 		}
-		return true
+		q = int(v[0]-'0') * 1000
+		frac := v[1:]
+		if frac == "" {
+			return q, true
+		}
+		if frac[0] != '.' || len(frac) > 4 {
+			return 0, false
+		}
+		for i, scale := 1, 100; i < len(frac); i, scale = i+1, scale/10 {
+			c := frac[i]
+			if c < '0' || c > '9' {
+				return 0, false
+			}
+			q += int(c-'0') * scale
+		}
+		return q, q <= 1000
 	}
-	return false
+	return 1000, true
 }
 
 // byteKey composes the byte-cache / flight key for one buffered response.
@@ -77,7 +123,7 @@ func encodeBody(v any, wantGzip bool) (byteBody, error) {
 	}
 	raw := buf.Bytes()
 	if !wantGzip || len(raw) < gzipMinSize {
-		return byteBody{bytes: raw}, nil
+		return newByteBody(raw, false), nil
 	}
 	var zbuf bytes.Buffer
 	zw := gzipPool.Get().(*gzip.Writer)
@@ -91,33 +137,47 @@ func encodeBody(v any, wantGzip bool) (byteBody, error) {
 	if cerr != nil {
 		return byteBody{}, cerr
 	}
-	return byteBody{bytes: zbuf.Bytes(), gzipped: true}, nil
+	return newByteBody(zbuf.Bytes(), true), nil
 }
+
+// Header values shared by every buffered answer. writeBody stores these
+// slices in the header map directly, which Header().Set would allocate
+// afresh for each response; net/http only reads them.
+var (
+	headerJSON = []string{"application/json"}
+	headerVary = []string{"Accept-Encoding"}
+	headerGzip = []string{"gzip"}
+)
 
 // writeBody emits a cached-or-fresh encoded body as the 200 answer.
 func writeBody(w http.ResponseWriter, b byteBody) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Vary", "Accept-Encoding")
+	h["Content-Type"] = headerJSON
+	h["Vary"] = headerVary
 	if b.gzipped {
-		h.Set("Content-Encoding", "gzip")
+		h["Content-Encoding"] = headerGzip
 	}
-	h.Set("Content-Length", strconv.Itoa(len(b.bytes)))
+	h["Content-Length"] = b.length
 	_, _ = w.Write(b.bytes)
 }
 
 // respond drives the buffered hot path for one request: byte-cache get →
-// single-flight{byte-cache peek → build → encode → put} → write. build
-// evaluates the query and returns the response value to encode; it runs at
-// most once per key across all concurrent callers (unless single-flight is
-// disabled). A key of "" bypasses both the cache and the latch.
-func (s *Server) respond(ctx context.Context, w http.ResponseWriter, d *dataset, key string, wantGzip bool, build func(context.Context) (any, error)) {
+// deadline → single-flight{byte-cache peek → build → encode → put} → write.
+// The per-request deadline context (timeoutMS, as requestContext reads it)
+// is derived only after the byte cache misses: a hit writes stored bytes
+// and never waits on anything. build evaluates the query and returns the
+// response value to encode; it runs at most once per key across all
+// concurrent callers (unless single-flight is disabled). A key of ""
+// bypasses both the cache and the latch.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, d *dataset, timeoutMS int64, key string, wantGzip bool, build func(context.Context) (any, error)) {
 	if key != "" {
 		if body, ok := d.bytes.get(key); ok {
 			writeBody(w, body)
 			return
 		}
 	}
+	ctx, cancel := s.requestContext(r, timeoutMS)
+	defer cancel()
 	fill := func() (any, error) {
 		if body, ok := d.bytes.peek(key); ok {
 			return body, nil

@@ -41,8 +41,8 @@ func (fw flushWriter) flush() {
 }
 
 // streamBatch answers POST /rankbatch with "stream": true.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, d *dataset, req *RankRequest, q engine.Query) {
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, d *dataset, timeoutMS int64, q engine.Query) {
+	ctx, cancel := s.requestContext(r, timeoutMS)
 	defer cancel()
 
 	fw := flushWriter{w: w}

@@ -616,3 +616,41 @@ func BenchmarkImportCSV(b *testing.B) {
 		}
 	}
 }
+
+// benchXRelCSV is an n-row x-relation CSV shaped like a served one: x-tuples
+// of one to five alternatives whose probabilities sum to at most 1,
+// two-decimal scores, four-decimal probabilities.
+func benchXRelCSV(n int) []byte {
+	rng := rand.New(rand.NewSource(1))
+	buf := []byte("score,prob,group\n")
+	for g, left := 0, n; left > 0; g++ {
+		size := min(1+rng.Intn(5), left)
+		left -= size
+		for range size {
+			buf = strconv.AppendFloat(buf, rng.Float64()*10_000, 'f', 2, 64)
+			buf = append(buf, ',')
+			buf = strconv.AppendFloat(buf, 0.9/float64(size), 'f', 4, 64)
+			buf = append(buf, ",g"...)
+			buf = strconv.AppendInt(buf, int64(g), 10)
+			buf = append(buf, '\n')
+		}
+	}
+	return buf
+}
+
+// BenchmarkImportCSVXRelation imports a 5,000-row x-relation, the size
+// servebench serves; allocs/op counts the and/xor tree builds with the
+// rest of the import.
+func BenchmarkImportCSVXRelation(b *testing.B) {
+	buf := benchXRelCSV(5_000)
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := s.ImportCSV("x", KindXRelation, bytes.NewReader(buf)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -83,8 +83,11 @@ func (m model) engine() *engine.Engine {
 // guarantees. It validates all the way down to model semantics by building
 // the backend model, which it returns, so a dataset that validates is a
 // dataset Engine can serve — decode success implies open success — and
-// OpenEngine serves the model validate built.
-func (ds *Dataset) validate() (model, error) {
+// OpenEngine serves the model validate built. tree, when non-nil, is the
+// and/xor tree parseXRelationCSV already built from an x-relation's
+// arrays: validate checks the arrays and takes it instead of building it
+// again.
+func (ds *Dataset) validate(tree *andxor.Tree) (model, error) {
 	n := ds.len()
 	if n < 1 {
 		return model{}, fmt.Errorf("%w: empty dataset", ErrCorrupt)
@@ -111,8 +114,10 @@ func (ds *Dataset) validate() (model, error) {
 				return model{}, fmt.Errorf("%w: x-relation group indices must be dense and non-decreasing", ErrCorrupt)
 			}
 		}
-		if m.tree, err = andxor.XTuples(ds.xgroups()); err != nil {
-			return model{}, fmt.Errorf("%w: x-relation: %w", ErrCorrupt, err)
+		if m.tree = tree; m.tree == nil {
+			if m.tree, err = andxor.XTuples(ds.xgroups()); err != nil {
+				return model{}, fmt.Errorf("%w: x-relation: %w", ErrCorrupt, err)
+			}
 		}
 	case KindTree:
 		if m.tree, err = ds.tree(); err != nil {
@@ -267,18 +272,26 @@ func ParseIndependentCSV(r io.Reader) (*Dataset, error) {
 // convention — see andxor.GroupRows). The stored arrays are the leaves
 // flattened group by group, which is exactly XTuples leaf-ID order.
 func ParseXRelationCSV(r io.Reader) (*Dataset, error) {
+	ds, _, err := parseXRelationCSV(r)
+	return ds, err
+}
+
+// parseXRelationCSV is ParseXRelationCSV, also returning the and/xor tree
+// it builds to check the rows, which ImportCSV hands to validate.
+func parseXRelationCSV(r io.Reader) (*Dataset, *andxor.Tree, error) {
 	c, err := scanCSV(r, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	scores, probs := c.flat(colScore), c.flat(colProb)
 	c.release()
 	if len(scores) == 0 {
-		return nil, errors.New("store: empty dataset")
+		return nil, nil, errors.New("store: empty dataset")
 	}
 	gs, _ := andxor.GroupRows(scores, probs, c.labels)
-	if _, err := andxor.XTuples(gs); err != nil {
-		return nil, err
+	tree, err := andxor.XTuples(gs)
+	if err != nil {
+		return nil, nil, err
 	}
 	ds := &Dataset{Kind: KindXRelation}
 	for g, alts := range gs {
@@ -288,7 +301,7 @@ func ParseXRelationCSV(r io.Reader) (*Dataset, error) {
 			ds.Groups = append(ds.Groups, uint32(g))
 		}
 	}
-	return ds, nil
+	return ds, tree, nil
 }
 
 // TreeSpec is the recursive form of an and/xor tree node — exactly one of

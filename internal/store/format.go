@@ -419,7 +419,7 @@ func (ds *Dataset) writeSections(w *sectionWriter) {
 // format version. The dataset must satisfy the canonical invariants
 // (Dataset.validate); Import establishes them for parsed input.
 func Encode(ds *Dataset, generation uint64) ([]byte, error) {
-	if _, err := ds.validate(); err != nil {
+	if _, err := ds.validate(nil); err != nil {
 		return nil, err
 	}
 	var m memFile
@@ -488,7 +488,7 @@ func decode(data []byte) (*Dataset, uint64, model, error) {
 			}
 		}
 	}
-	m, err := ds.validate()
+	m, err := ds.validate(nil)
 	if err != nil {
 		return nil, 0, model{}, err
 	}

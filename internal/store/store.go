@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/andxor"
 	"repro/internal/engine"
 	"repro/internal/pdb"
 )
@@ -126,10 +127,16 @@ func (s *Store) Info(name string) (Info, error) {
 // existing segment via rename. Open handles on the old segment keep reading
 // the old snapshot.
 func (s *Store) Import(name string, ds *Dataset) (Info, error) {
+	return s.importDataset(name, ds, nil)
+}
+
+// importDataset is Import, handing validate the x-relation tree the parser
+// built, if any (see Dataset.validate).
+func (s *Store) importDataset(name string, ds *Dataset, tree *andxor.Tree) (Info, error) {
 	if err := CheckName(name); err != nil {
 		return Info{}, err
 	}
-	if _, err := ds.validate(); err != nil {
+	if _, err := ds.validate(tree); err != nil {
 		return Info{}, err
 	}
 	return s.put(name, ds.Kind, ds.len(), s.nextGeneration(name), ds.writeSections)
@@ -154,13 +161,22 @@ func (e *InputError) Unwrap() error { return e.Err }
 // them by permutation in pooled scratch, and the sections are encoded in
 // that order, so no sorted copy of the dataset is ever built and blocks
 // and scratch go back to their pools for the next import. The other kinds
-// parse into a Dataset and Import it. Failures of the body come back as
+// parse into a Dataset and Import it; an x-relation's import reuses the
+// and/xor tree its parse built to check the rows. Failures of the body come back as
 // *InputError; the rest are the store's.
 func (s *Store) ImportCSV(name, kind string, r io.Reader) (Info, error) {
 	if err := CheckName(name); err != nil {
 		return Info{}, err
 	}
-	if kind != KindIndependent {
+	switch kind {
+	case KindIndependent:
+	case KindXRelation:
+		ds, tree, err := parseXRelationCSV(r)
+		if err != nil {
+			return Info{}, &InputError{Err: err}
+		}
+		return s.importDataset(name, ds, tree)
+	default:
 		ds, err := Parse(kind, r)
 		if err != nil {
 			return Info{}, &InputError{Err: err}
